@@ -7,7 +7,6 @@
 
 #include "bench/bench_util.h"
 #include "bench/trace_source.h"
-#include "src/flash/flash_cache.h"
 #include "src/flash/log_flash_cache.h"
 #include "src/workload/dataset_profiles.h"
 
@@ -37,10 +36,10 @@ void Run(const BenchOptions& opts) {
     std::printf("\n--- %s-like trace: %lu requests, footprint %.1f MB, flash %.1f MB ---\n",
                 dataset, (unsigned long)t.size(), footprint_bytes / 1048576.0,
                 flash_bytes / 1048576.0);
-    // Per scheme, two backends: the abstract byte-FIFO flash (write-bytes,
-    // miss-ratio — the original fig09 columns) and the log-structured backend
-    // (segment log + GC), which adds the WA axis: device bytes actually
-    // absorbed by the flash and device/admitted write amplification.
+    // Per scheme, two flash models: the abstract byte FIFO (write-bytes,
+    // miss-ratio — the original fig09 columns) and the segment log with GC,
+    // which adds the WA axis: device bytes actually absorbed by the flash
+    // and device/admitted write amplification.
     std::printf("%-22s %9s %12s %10s | %12s %7s %10s\n", "scheme", "dram", "write-bytes",
                 "miss-ratio", "device-bytes", "WA", "log-missr");
 
@@ -52,17 +51,20 @@ void Run(const BenchOptions& opts) {
         const DramDiscipline discipline = std::string(scheme) == "s3fifo"
                                               ? DramDiscipline::kSmallFifo
                                               : DramDiscipline::kLru;
-        FlashCacheConfig config;
-        config.flash_capacity_bytes = flash_bytes;
+        LogFlashCacheConfig config;
         config.dram_capacity_bytes = dram_bytes;
         config.dram_discipline = discipline;
-        auto admission =
-            CreateAdmissionPolicy(scheme, /*reuse_horizon=*/t.size() / 10, /*seed=*/11);
-        const FlashCacheStats stats = SimulateFlashCache(t, config, std::move(admission));
+        config.log.segment_bytes = flash_bytes;
+        config.log.num_segments = 1;
+        config.log.ordering = LogOrdering::kByteFifo;
+        LogStructuredFlashCache cache(
+            config, CreateAdmissionPolicy(scheme, /*reuse_horizon=*/t.size() / 10, /*seed=*/11));
+        for (const Request& r : t.requests()) {
+          cache.Get(r);
+        }
 
-        LogFlashCacheConfig log_config;
-        log_config.dram_capacity_bytes = dram_bytes;
-        log_config.dram_discipline = discipline;
+        LogFlashCacheConfig log_config = config;
+        log_config.log = SegmentLogConfig();
         log_config.log.segment_bytes = segment_bytes;
         log_config.log.num_segments = std::max<uint64_t>(flash_bytes / segment_bytes, 1);
         LogStructuredFlashCache log_cache(
@@ -73,9 +75,9 @@ void Run(const BenchOptions& opts) {
         }
         std::printf("%-22s %8.1f%% %12.3f %10.4f | %12.3f %7.3f %10.4f\n", scheme,
                     dram_frac * 100,
-                    static_cast<double>(stats.flash_write_bytes) /
+                    static_cast<double>(cache.AdmittedBytes()) /
                         static_cast<double>(footprint_bytes),
-                    stats.MissRatio(),
+                    cache.stats().MissRatio(),
                     static_cast<double>(log_cache.DeviceBytesWritten()) /
                         static_cast<double>(footprint_bytes),
                     log_cache.WriteAmplification(), log_cache.stats().MissRatio());

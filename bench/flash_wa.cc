@@ -1,12 +1,13 @@
-// Flash write-amplification bench: the log-structured backend's device-byte
-// accounting across admission policies, log orderings, and the small-object
-// set store, on the fig09 wiki-like and tencent-photo-like traces.
+// Flash write-amplification bench: the segment log's device-byte accounting
+// across admission policies, log orderings, and the small-object set store,
+// on the fig09 wiki-like and tencent-photo-like traces.
 //
-// This is the axis the abstract FlashCacheSim could not report: every row
-// carries device_bytes_written (what the flash absorbs) next to
-// admitted_bytes (what the cache asked for), their ratio being the write
-// amplification the admission policy + GC discipline produce together.
-// Emits BENCH_flash.json for cross-PR tracking.
+// This is the axis the abstract byte-FIFO flash model cannot show (there,
+// device bytes equal admitted bytes by construction): every row carries
+// device_bytes_written (what the flash absorbs) next to admitted_bytes (what
+// the cache asked for), their ratio being the write amplification the
+// admission policy + GC discipline produce together. Emits BENCH_flash.json
+// for cross-change tracking.
 #include <cstdio>
 #include <string>
 #include <vector>

@@ -4,7 +4,7 @@
 //   $ ./flash_admission
 #include <cstdio>
 
-#include "src/flash/flash_cache.h"
+#include "src/flash/log_flash_cache.h"
 #include "src/workload/dataset_profiles.h"
 
 int main() {
@@ -21,16 +21,21 @@ int main() {
               "flash-hits");
 
   for (const char* scheme : {"none", "probabilistic", "flashield", "s3fifo"}) {
-    FlashCacheConfig config;
-    config.flash_capacity_bytes = flash;
+    // The abstract flash device: one byte FIFO over the whole flash budget.
+    LogFlashCacheConfig config;
     config.dram_capacity_bytes = dram;
     config.dram_discipline = std::string(scheme) == "s3fifo" ? DramDiscipline::kSmallFifo
                                                              : DramDiscipline::kLru;
-    auto admission = CreateAdmissionPolicy(scheme, trace.size() / 10, 3);
-    const FlashCacheStats stats = SimulateFlashCache(trace, config, std::move(admission));
+    config.log.segment_bytes = flash;
+    config.log.num_segments = 1;
+    config.log.ordering = LogOrdering::kByteFifo;
+    LogStructuredFlashCache cache(config, CreateAdmissionPolicy(scheme, trace.size() / 10, 3));
+    for (const Request& r : trace.requests()) {
+      cache.Get(r);
+    }
     std::printf("%-16s %14.3f %12.4f %12lu\n", scheme,
-                static_cast<double>(stats.flash_write_bytes) / static_cast<double>(footprint),
-                stats.MissRatio(), (unsigned long)stats.flash_hits);
+                static_cast<double>(cache.AdmittedBytes()) / static_cast<double>(footprint),
+                cache.stats().MissRatio(), (unsigned long)cache.stats().log_hits);
   }
   std::printf("\nthe s3fifo small-FIFO filter should cut write bytes vs 'none' while\n"
               "keeping the miss ratio at or below the other admission schemes.\n");

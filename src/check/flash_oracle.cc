@@ -186,11 +186,19 @@ NaiveFlashModel::NLogEntry* NaiveFlashModel::FindLog(uint64_t id) {
 }
 
 bool NaiveFlashModel::LogContains(uint64_t id) const {
+  for (const NSetEntry& e : fifo_) {
+    if (e.id == id) {
+      return true;
+    }
+  }
   return const_cast<NaiveFlashModel*>(this)->FindLog(id) != nullptr;
 }
 
 uint64_t NaiveFlashModel::LogLiveBytes() const {
   uint64_t total = 0;
+  for (const NSetEntry& e : fifo_) {
+    total += e.size;
+  }
   for (const NSegment& seg : sealed_) {
     for (const NLogEntry& e : seg.entries) {
       if (e.live) {
@@ -220,6 +228,12 @@ void NaiveFlashModel::LogLookup(uint64_t id) {
 }
 
 void NaiveFlashModel::LogErase(uint64_t id) {
+  for (size_t i = 0; i < fifo_.size(); ++i) {
+    if (fifo_[i].id == id) {
+      fifo_.erase(fifo_.begin() + static_cast<ptrdiff_t>(i));
+      return;
+    }
+  }
   NLogEntry* e = FindLog(id);
   if (e != nullptr) {
     e->live = false;
@@ -228,10 +242,21 @@ void NaiveFlashModel::LogErase(uint64_t id) {
 
 void NaiveFlashModel::LogInsert(uint64_t id, uint32_t size,
                                 std::vector<uint64_t>* evicted) {
-  if (size > config_.log.segment_bytes) {
+  const uint64_t capacity = config_.log.segment_bytes * log_num_segments_;
+  if (size > (ByteFifo() ? capacity : config_.log.segment_bytes)) {
     return;  // oversize reject (stats-only in the optimized log)
   }
   LogErase(id);  // overwrite dead-marks the old copy
+  if (ByteFifo()) {
+    FifoEvictTo(capacity - size, evicted);
+    NSetEntry e;
+    e.id = id;
+    e.size = size;
+    fifo_.push_back(e);
+    log_device_bytes_ += size;
+    log_admitted_bytes_ += size;
+    return;
+  }
   LogAppend(id, size, static_cast<uint8_t>(config_.log.insert_priority),
             /*is_rewrite=*/false, evicted);
   log_admitted_bytes_ += size;
@@ -290,6 +315,15 @@ void NaiveFlashModel::LogDrainPending(std::vector<uint64_t>* evicted) {
     const NPending p = pending_.front();
     pending_.erase(pending_.begin());
     LogAppend(p.id, p.size, p.priority, /*is_rewrite=*/true, evicted);
+  }
+}
+
+void NaiveFlashModel::FifoEvictTo(uint64_t limit, std::vector<uint64_t>* evicted) {
+  while (LogLiveBytes() > limit) {
+    if (evicted != nullptr) {
+      evicted->push_back(fifo_.front().id);
+    }
+    fifo_.erase(fifo_.begin());
   }
 }
 
@@ -464,6 +498,9 @@ FlashStepOutcome NaiveFlashModel::Step(const Request& req) {
 FlashStepOutcome NaiveFlashModel::Resize(uint64_t num_segments) {
   std::vector<uint64_t> evicted;
   log_num_segments_ = std::max<uint64_t>(num_segments, 1);
+  if (ByteFifo()) {
+    FifoEvictTo(config_.log.segment_bytes * log_num_segments_, &evicted);
+  }
   while (LogSegmentsInUse() > log_num_segments_ && !sealed_.empty()) {
     LogGcOldest(&evicted);
     LogDrainPending(&evicted);

@@ -2,11 +2,11 @@
 // differential driver that pins LogStructuredFlashCache to it bit-for-bit.
 //
 // The oracle re-implements the full two-tier semantics — DRAM front (LRU or
-// small-FIFO + ghost), admission gate, segment log with GC, set-associative
-// small-object store — with deliberately flat structures: plain vectors
-// scanned linearly, occupancy recomputed by summation, no index maps, no
-// intrusive lists. Same philosophy as reference_model.h: the oracle is the
-// side you trust when the optimized cache diverges.
+// small-FIFO + ghost), admission gate, byte FIFO or segment log with GC,
+// set-associative small-object store — with deliberately flat structures:
+// plain vectors scanned linearly, occupancy recomputed by summation, no
+// index maps, no intrusive lists. Same philosophy as reference_model.h: the
+// oracle is the side you trust when the optimized cache diverges.
 //
 // Both sides construct their own AdmissionPolicy from the same (name,
 // horizon, seed); since the policies are deterministic functions of their
@@ -119,6 +119,10 @@ class NaiveFlashModel {
   uint64_t LogLiveBytes() const;  // summation over every segment
   uint64_t SegmentWriteOff(const NSegment& seg) const;
 
+  // Byte FIFO (LogOrdering::kByteFifo; flat, oldest first).
+  bool ByteFifo() const { return config_.log.ordering == LogOrdering::kByteFifo; }
+  void FifoEvictTo(uint64_t limit, std::vector<uint64_t>* evicted);
+
   // Set store (flat).
   uint64_t SetOf(uint64_t id) const;
   bool SetContains(uint64_t id) const;
@@ -148,6 +152,7 @@ class NaiveFlashModel {
   uint64_t log_admitted_bytes_ = 0;
   uint64_t gc_rewrite_bytes_ = 0;
   uint64_t segments_gced_ = 0;
+  std::vector<NSetEntry> fifo_;  // kByteFifo: oldest first
 
   std::vector<std::vector<NSetEntry>> sets_;
   uint64_t set_page_writes_ = 0;

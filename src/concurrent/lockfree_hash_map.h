@@ -1,5 +1,6 @@
-// Concurrent open-addressing hash index with lock-free reads — the Get-hit
-// path replacement for the mutex-per-read StripedHashMap. Layout follows
+// Concurrent open-addressing hash index with lock-free reads: the Get-hit
+// path probes it without taking any lock (it replaced a mutex-per-read
+// striped map; EXPERIMENTS.md records that comparison). Layout follows
 // src/util/flat_map.h (power-of-two slot array, linear probing, Mix64
 // placement) adapted for concurrency:
 //

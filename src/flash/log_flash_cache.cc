@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "src/util/params.h"
 
@@ -23,6 +24,9 @@ uint64_t AutoGhostEntries(const LogFlashCacheConfig& config) {
   }
   return std::max<uint64_t>(FlashCapacityBytes(config) / 4096, 64);
 }
+
+// Replay-file names of LogOrdering, indexed by enum value.
+constexpr std::string_view kOrderingNames[] = {"fifo", "ripq", "bytefifo"};
 
 LogFlashCacheConfig Clamped(LogFlashCacheConfig config) {
   if (config.small_object_threshold > 0) {
@@ -67,9 +71,6 @@ bool LogStructuredFlashCache::Get(const Request& req) {
   if (dram_e != nullptr) {
     ++stats_.dram_hits;
     ++dram_e->reads;
-    if (config_.dram_discipline == DramDiscipline::kLru) {
-      dram_queue_.MoveToFront(dram_e);
-    }
     if (req.op == OpType::kSet) {
       // Overwrite: re-insert with the new size and fresh read/residency
       // state (the new content has no observed history).
@@ -77,6 +78,8 @@ bool LogStructuredFlashCache::Get(const Request& req) {
       dram_queue_.Remove(dram_e);
       dram_.Erase(req.id);
       InsertDram(req.id, req.size);
+    } else if (config_.dram_discipline == DramDiscipline::kLru) {
+      dram_queue_.MoveToFront(dram_e);
     }
     return true;
   }
@@ -123,9 +126,8 @@ bool LogStructuredFlashCache::Get(const Request& req) {
 
 void LogStructuredFlashCache::ResizeFlash(uint64_t num_segments) {
   flash_evicted_.clear();
-  const size_t before = flash_evicted_.size();
   log_.Resize(num_segments, &flash_evicted_);
-  stats_.flash_evictions += flash_evicted_.size() - before;
+  stats_.flash_evictions += flash_evicted_.size();
 }
 
 void LogStructuredFlashCache::InsertDram(uint64_t id, uint32_t size) {
@@ -213,7 +215,7 @@ std::string FormatLogFlashConfig(const LogFlashCacheConfig& config) {
       << ",discipline=" << (config.dram_discipline == DramDiscipline::kLru ? "lru" : "smallfifo")
       << ",ghost=" << config.ghost_entries << ",segment=" << config.log.segment_bytes
       << ",segments=" << config.log.num_segments
-      << ",ordering=" << (config.log.ordering == LogOrdering::kFifo ? "fifo" : "ripq")
+      << ",ordering=" << kOrderingNames[static_cast<int>(config.log.ordering)]
       << ",readmit=" << (config.log.gc_readmit ? 1 : 0)
       << ",sections=" << config.log.ripq_sections
       << ",insert_prio=" << config.log.insert_priority
@@ -238,13 +240,11 @@ LogFlashCacheConfig ParseLogFlashConfig(const std::string& spec) {
   config.log.segment_bytes = p.GetU64("segment", config.log.segment_bytes);
   config.log.num_segments = p.GetU64("segments", config.log.num_segments);
   const std::string ordering = p.GetString("ordering", "fifo");
-  if (ordering == "fifo") {
-    config.log.ordering = LogOrdering::kFifo;
-  } else if (ordering == "ripq") {
-    config.log.ordering = LogOrdering::kRipq;
-  } else {
+  const auto* name = std::find(std::begin(kOrderingNames), std::end(kOrderingNames), ordering);
+  if (name == std::end(kOrderingNames)) {
     throw std::invalid_argument("log-flash config: unknown ordering '" + ordering + "'");
   }
+  config.log.ordering = static_cast<LogOrdering>(name - std::begin(kOrderingNames));
   config.log.gc_readmit = p.GetBool("readmit", config.log.gc_readmit);
   config.log.ripq_sections = static_cast<uint32_t>(p.GetU64("sections", config.log.ripq_sections));
   config.log.insert_priority =

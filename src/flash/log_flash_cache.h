@@ -1,21 +1,27 @@
-// Two-tier DRAM + log-structured flash cache: the drop-in "real backend"
-// alternative to FlashCacheSim (ROADMAP item 2).
+// Two-tier DRAM + flash cache (paper §5.4, Fig. 9): the one composer every
+// flash experiment runs through.
 //
-// The DRAM front and admission gate are the same as flash_cache.h — kLru or
-// the paper's kSmallFifo discipline with a ghost queue, every DRAM eviction
-// passing through an AdmissionPolicy — but the flash tier is no longer an
-// abstract byte-counted FIFO. Admitted objects route by size:
+// The DRAM tier buffers new objects and an AdmissionPolicy decides which
+// DRAM-evicted objects are written to flash. Two DRAM disciplines:
+//  * kLru        — DRAM is an LRU front cache (the setup for no-admission,
+//                  probabilistic, and Flashield schemes);
+//  * kSmallFifo  — the paper's S3-FIFO scheme: DRAM is the small FIFO queue
+//                  with a ghost queue of DRAM-evicted ids; a request for a
+//                  ghost id is written straight to flash (S->G->M path).
 //
-//   size <  small_object_threshold  ->  SetAssocStore (Kangaroo-style sets)
-//   size >= small_object_threshold  ->  SegmentLog (segment log + GC)
-//
-// so every run reports the metric the abstract simulator could not see:
-// device bytes written and write amplification, with GC rewrite bytes and
-// set-page writes broken out per component.
+// The flash tier is one of three models, picked by config:
+//  * byte FIFO   — log.ordering = kByteFifo: the abstract per-object FIFO
+//                  over segment_bytes * num_segments bytes (the original
+//                  Fig. 9 device; device bytes == admitted bytes);
+//  * segment log — log.ordering = kFifo / kRipq: SegmentLog with GC, which
+//                  adds device bytes written and write amplification;
+//  * sets + log  — small_object_threshold > 0: objects below the threshold
+//                  go to SetAssocStore (Kangaroo-style sets, clamped to
+//                  set_store.set_bytes + 1), the rest to the log.
 //
 // Operation semantics (mirrored exactly by the naive oracle in src/check/):
 //   kGet    — hit in DRAM (LRU move under kLru) or flash; on a miss, the
-//             ghost path / DRAM insert / admission flow of FlashCacheSim.
+//             ghost path / DRAM insert / admission flow above.
 //   kSet    — insert-or-overwrite. A DRAM-resident object is re-inserted
 //             with the new size (fresh read/residency state); a
 //             flash-resident object is dead-marked and re-admitted with the
@@ -29,7 +35,6 @@
 #include <string>
 
 #include "src/flash/admission.h"
-#include "src/flash/flash_cache.h"
 #include "src/flash/segment_log.h"
 #include "src/flash/set_store.h"
 #include "src/trace/trace.h"
@@ -38,6 +43,8 @@
 #include "src/util/intrusive_list.h"
 
 namespace s3fifo {
+
+enum class DramDiscipline { kLru, kSmallFifo };
 
 struct LogFlashCacheConfig {
   uint64_t dram_capacity_bytes = 0;
@@ -61,7 +68,7 @@ struct LogFlashCacheStats {
   uint64_t deletes = 0;
   uint64_t bytes_requested = 0;
   uint64_t bytes_missed = 0;
-  uint64_t flash_evictions = 0;  // objects dropped from flash (GC / set FIFO)
+  uint64_t flash_evictions = 0;  // objects dropped from flash (FIFO / GC / set FIFO)
 
   double MissRatio() const {
     return requests == 0 ? 0.0 : static_cast<double>(misses) / static_cast<double>(requests);
@@ -81,7 +88,8 @@ class LogStructuredFlashCache {
   // Processes one request; returns true on a hit in either tier. Ids that
   // left the flash tier during this request are in last_flash_evicted().
   bool Get(const Request& req);
-  // Resizes the segment-log budget mid-run (the fuzzer's capacity resizes).
+  // Resizes the segment-log budget mid-run (the fuzzer's capacity resizes);
+  // ids that leave flash are in last_flash_evicted().
   void ResizeFlash(uint64_t num_segments);
 
   const LogFlashCacheStats& stats() const { return stats_; }
@@ -147,7 +155,7 @@ LogFlashCacheStats SimulateLogFlashCache(const Trace& trace, const LogFlashCache
 
 // "key=value,..." round-trip of LogFlashCacheConfig for replay files
 // (see src/check/replay_file.h). Keys: dram, discipline (lru|smallfifo),
-// ghost, segment, segments, ordering (fifo|ripq), readmit, sections,
+// ghost, segment, segments, ordering (fifo|ripq|bytefifo), readmit, sections,
 // insert_prio, small, set_bytes, sets.
 std::string FormatLogFlashConfig(const LogFlashCacheConfig& config);
 LogFlashCacheConfig ParseLogFlashConfig(const std::string& spec);

@@ -22,9 +22,14 @@ SegmentLog::SegmentLog(const SegmentLogConfig& config)
   config_.insert_priority = std::min<uint32_t>(config_.insert_priority, max_priority_);
 }
 
-bool SegmentLog::Contains(uint64_t id) const { return index_.Find(id) != nullptr; }
+bool SegmentLog::Contains(uint64_t id) const {
+  return index_.Find(id) != nullptr || fifo_.Find(id) != nullptr;
+}
 
 uint32_t SegmentLog::SizeOf(uint64_t id) const {
+  if (const FifoEntry* f = fifo_.Find(id)) {
+    return f->size;
+  }
   const Locator* loc = index_.Find(id);
   return loc == nullptr ? 0 : slots_[loc->slot].entries[loc->idx].size;
 }
@@ -32,7 +37,7 @@ uint32_t SegmentLog::SizeOf(uint64_t id) const {
 bool SegmentLog::Lookup(uint64_t id) {
   Locator* loc = index_.Find(id);
   if (loc == nullptr) {
-    return false;
+    return fifo_.Find(id) != nullptr;  // byte FIFO: hits update no ordering state
   }
   SegEntry& e = slots_[loc->slot].entries[loc->idx];
   e.priority = static_cast<uint8_t>(std::min<uint32_t>(e.priority + 1, max_priority_));
@@ -40,24 +45,37 @@ bool SegmentLog::Lookup(uint64_t id) {
 }
 
 bool SegmentLog::Insert(uint64_t id, uint32_t size, std::vector<uint64_t>* evicted) {
-  if (size > config_.segment_bytes) {
+  const bool byte_fifo = config_.ordering == LogOrdering::kByteFifo;
+  if (size > (byte_fifo ? capacity_bytes() : config_.segment_bytes)) {
     ++stats_.oversize_rejects;
     return false;
   }
-  Locator* old = index_.Find(id);
-  if (old != nullptr) {
-    DeadMark(*old);
-    index_.Erase(id);
+  Erase(id);
+  stats_.admitted_bytes += size;
+  ++stats_.admitted_objects;
+  if (byte_fifo) {
+    EvictFifoTo(capacity_bytes() - size, evicted);
+    FifoEntry* e = fifo_.Emplace(id);
+    e->id = id;
+    e->size = size;
+    fifo_queue_.PushFront(e);
+    live_bytes_ += size;
+    stats_.device_bytes_written += size;
+    return true;
   }
   AppendRaw(id, size, static_cast<uint8_t>(config_.insert_priority), /*is_rewrite=*/false,
             evicted);
-  stats_.admitted_bytes += size;
-  ++stats_.admitted_objects;
   DrainPending(evicted);
   return true;
 }
 
 bool SegmentLog::Erase(uint64_t id) {
+  if (FifoEntry* f = fifo_.Find(id)) {
+    live_bytes_ -= f->size;
+    fifo_queue_.Remove(f);
+    fifo_.Erase(id);
+    return true;
+  }
   Locator* loc = index_.Find(id);
   if (loc == nullptr) {
     return false;
@@ -69,6 +87,10 @@ bool SegmentLog::Erase(uint64_t id) {
 
 void SegmentLog::Resize(uint64_t num_segments, std::vector<uint64_t>* evicted) {
   config_.num_segments = std::max<uint64_t>(num_segments, 1);
+  if (config_.ordering == LogOrdering::kByteFifo) {
+    EvictFifoTo(capacity_bytes(), evicted);
+    return;
+  }
   // Shrink: collect oldest sealed segments until the budget holds again.
   while (segments_in_use() > config_.num_segments && !sealed_.empty()) {
     GcOldest(evicted);
@@ -80,6 +102,21 @@ void SegmentLog::DeadMark(const Locator& loc) {
   SegEntry& e = slots_[loc.slot].entries[loc.idx];
   e.live = false;
   live_bytes_ -= e.size;
+}
+
+void SegmentLog::EvictFifoTo(uint64_t limit, std::vector<uint64_t>* evicted) {
+  while (live_bytes_ > limit) {
+    FifoEntry* victim = fifo_queue_.Back();
+    const uint64_t id = victim->id;
+    live_bytes_ -= victim->size;
+    ++stats_.dropped_objects;
+    stats_.dropped_bytes += victim->size;
+    if (evicted != nullptr) {
+      evicted->push_back(id);
+    }
+    fifo_queue_.Remove(victim);
+    fifo_.Erase(id);
+  }
 }
 
 void SegmentLog::AppendRaw(uint64_t id, uint32_t size, uint8_t priority, bool is_rewrite,

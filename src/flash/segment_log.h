@@ -19,6 +19,12 @@
 //    > 0 at the head (decaying its priority — the rewrite IS the move to
 //    its insertion point) and drops priority-0 objects. A fresh admission
 //    enters at insert_priority.
+//  * kByteFifo — the abstract flash device of the paper's §5.4: a per-object
+//    FIFO over segment_bytes * num_segments bytes. An insert evicts the
+//    oldest objects until the new one fits; an object larger than the whole
+//    capacity is rejected. No segments, no GC, so device bytes equal
+//    admitted bytes. Hits update no ordering state; a shrinking Resize
+//    evicts the oldest objects at once.
 //
 // Overwriting a resident id dead-marks the old copy in place (the bytes stay
 // in the segment until GC) and appends a new copy. Deletes dead-mark only.
@@ -38,10 +44,11 @@
 #include <vector>
 
 #include "src/util/flat_map.h"
+#include "src/util/intrusive_list.h"
 
 namespace s3fifo {
 
-enum class LogOrdering { kFifo, kRipq };
+enum class LogOrdering { kFifo, kRipq, kByteFifo };
 
 struct SegmentLogConfig {
   uint64_t segment_bytes = 256 * 1024;
@@ -87,17 +94,19 @@ class SegmentLog {
 
   // Appends a fresh admission, sealing/GCing as needed. Ids that leave the
   // cache during GC are appended to `evicted` (may be null). Returns false
-  // (and counts an oversize reject) when size > segment_bytes.
+  // (and counts an oversize reject) when size > segment_bytes (kByteFifo:
+  // size > capacity_bytes()).
   bool Insert(uint64_t id, uint32_t size, std::vector<uint64_t>* evicted);
-  // Dead-marks the live copy. Returns false if absent.
+  // Dead-marks the live copy (kByteFifo: frees it). Returns false if absent.
   bool Erase(uint64_t id);
 
   // Changes the segment budget; shrinking GCs the oldest sealed segments
-  // immediately (survivor rewrites and drops count as usual).
+  // immediately (survivor rewrites and drops count as usual). Under
+  // kByteFifo it evicts the oldest objects until the new capacity holds.
   void Resize(uint64_t num_segments, std::vector<uint64_t>* evicted);
 
   uint64_t live_bytes() const { return live_bytes_; }
-  uint64_t live_objects() const { return index_.size(); }
+  uint64_t live_objects() const { return index_.size() + fifo_.size(); }
   uint64_t segments_in_use() const {
     return sealed_.size() + (open_slot_ == kNoSlot ? 0 : 1);
   }
@@ -124,6 +133,11 @@ class SegmentLog {
     uint32_t slot = 0;
     uint32_t idx = 0;
   };
+  struct FifoEntry {
+    uint64_t id = 0;
+    uint32_t size = 0;
+    ListHook hook;
+  };
   struct PendingRewrite {
     uint64_t id = 0;
     uint32_t size = 0;
@@ -139,6 +153,7 @@ class SegmentLog {
   void GcOldest(std::vector<uint64_t>* evicted);
   void DrainPending(std::vector<uint64_t>* evicted);
   void DeadMark(const Locator& loc);
+  void EvictFifoTo(uint64_t limit, std::vector<uint64_t>* evicted);
 
   SegmentLogConfig config_;
   uint8_t max_priority_;
@@ -153,6 +168,10 @@ class SegmentLog {
   FlatMap<Locator> index_;  // id -> live copy
   uint64_t live_bytes_ = 0;
   std::deque<PendingRewrite> pending_;  // survivors awaiting re-append
+
+  // kByteFifo only: the object FIFO, newest at the front.
+  FlatMap<FifoEntry> fifo_;
+  IntrusiveList<FifoEntry, &FifoEntry::hook> fifo_queue_;
 
   SegmentLogStats stats_;
 };

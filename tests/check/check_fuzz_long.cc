@@ -85,8 +85,9 @@ TEST(LongFuzzTest, BatchedParityFuzz) {
 
 // Long flash wall: >= 1M requests through LogStructuredFlashCache vs the
 // naive flat oracle, split across the admission policies and the config axes
-// that matter (discipline, ordering, set store, mid-run resizes). Conservation
-// of device bytes is checked inside the driver after every request.
+// that matter (discipline, ordering incl. byte FIFO, set store, mid-run
+// resizes). RunFlashDifferential checks conservation of device bytes after
+// every request.
 TEST(LongFuzzTest, MillionRequestsFlashDifferential) {
   const uint64_t total = RequestsPerPolicy();
   struct Leg {
@@ -101,8 +102,11 @@ TEST(LongFuzzTest, MillionRequestsFlashDifferential) {
       {"probabilistic", DramDiscipline::kLru, LogOrdering::kRipq, 0, 0},
       {"s3fifo", DramDiscipline::kSmallFifo, LogOrdering::kFifo, 128, 0},
       {"flashield", DramDiscipline::kSmallFifo, LogOrdering::kRipq, 128, 4096},
+      {"s3fifo", DramDiscipline::kSmallFifo, LogOrdering::kByteFifo, 0, 2048},
   };
-  const uint64_t per_leg = std::max<uint64_t>(total / std::size(legs), 1000);
+  // Split across the four segment-log legs; the byte-FIFO leg, added later,
+  // runs the same count so the older legs keep their streams.
+  const uint64_t per_leg = std::max<uint64_t>(total / 4, 1000);
   for (const Leg& leg : legs) {
     LogFlashCacheConfig config;
     config.dram_capacity_bytes = 4096;

@@ -1,8 +1,9 @@
 // Flash differential wall: LogStructuredFlashCache against the naive flat
-// oracle, across DRAM disciplines, log orderings, admission policies, the
-// small-object set store, and scheduled mid-run segment-budget resizes. On
-// failure the divergence string carries the first mismatching request;
-// reproduce with check_replay --fuzz-flash --seed <seed>.
+// oracle, across DRAM disciplines, flash orderings (byte FIFO, segment FIFO,
+// RIPQ), admission policies, the small-object set store, and scheduled
+// mid-run segment-budget resizes. On failure the divergence string carries
+// the first mismatching request; reproduce with
+// check_replay --fuzz-flash --seed <seed>.
 #include "src/check/flash_oracle.h"
 
 #include <gtest/gtest.h>
@@ -116,6 +117,64 @@ TEST(FlashDifferentialTest, ScheduledResizes) {
                                               /*reuse_horizon=*/200, /*admission_seed=*/5,
                                               resizes);
   EXPECT_FALSE(div.found) << div.what;
+}
+
+TEST(FlashDifferentialTest, ByteFifoAllAdmissionsAndDisciplines) {
+  // The abstract §5.4 device, at the fuzzer's default sizes (32 KB, so
+  // every object fits) and at a tiny capacity the objects crowd or exceed;
+  // resizes shrink and grow the byte budget mid-run.
+  for (const char* admission : kAdmissions) {
+    for (DramDiscipline discipline : {DramDiscipline::kLru, DramDiscipline::kSmallFifo}) {
+      LogFlashCacheConfig config = BaseConfig();
+      config.dram_discipline = discipline;
+      config.log.ordering = LogOrdering::kByteFifo;
+      FlashResizeSchedule resizes;
+      resizes.period = 700;
+      resizes.seed = 31;
+      const Divergence div =
+          RunFlashDifferential(FlashTrace(19, config), config, admission,
+                               /*reuse_horizon=*/1000, /*admission_seed=*/17, resizes);
+      EXPECT_FALSE(div.found) << admission << " discipline=" << static_cast<int>(discipline)
+                              << ": " << div.what;
+    }
+  }
+  LogFlashCacheConfig config;
+  config.dram_capacity_bytes = 256;
+  config.log.segment_bytes = 512;
+  config.log.num_segments = 1;
+  config.log.ordering = LogOrdering::kByteFifo;
+  FlashFuzzConfig fc;
+  fc.seed = 21;
+  fc.key_space = 64;
+  fc.segment_bytes = config.log.segment_bytes;
+  fc.p_near_segment = 0.2;
+  fc.p_oversize = 0.05;
+  const Divergence div = RunFlashDifferential(GenerateFlashFuzzRequests(fc), config, "s3fifo",
+                                              /*reuse_horizon=*/100, /*admission_seed=*/9);
+  EXPECT_FALSE(div.found) << "tiny byte FIFO: " << div.what;
+}
+
+TEST(FlashDifferentialTest, OracleDistinguishesByteFifoFromSegmentFifo) {
+  // Canary: the same capacity evicted per object (byte FIFO) and per
+  // segment (log FIFO) must leave different bytes live on the flash.
+  LogFlashCacheConfig segment_config = BaseConfig();
+  segment_config.log.num_segments = 4;
+  segment_config.log.gc_readmit = false;
+  LogFlashCacheConfig byte_config = segment_config;
+  byte_config.log.ordering = LogOrdering::kByteFifo;
+
+  LogStructuredFlashCache cache(byte_config, CreateAdmissionPolicy("none", 100, 1));
+  NaiveFlashModel oracle(segment_config, CreateAdmissionPolicy("none", 100, 1));
+  bool diverged = false;
+  for (const Request& req : FlashTrace(13, segment_config, 30000)) {
+    const bool cache_hit = cache.Get(req);
+    const FlashStepOutcome oracle_out = oracle.Step(req);
+    if (cache_hit != oracle_out.hit || cache.log().live_bytes() != oracle_out.log_live_bytes) {
+      diverged = true;
+      break;
+    }
+  }
+  EXPECT_TRUE(diverged);
 }
 
 TEST(FlashDifferentialTest, OracleDistinguishesOrderings) {

@@ -5,13 +5,12 @@
 // these constants must reproduce on every platform. If one moves, either a
 // hot-path change perturbed the published figures (fix it) or semantics
 // changed deliberately (update the constant in the same PR that documents
-// why). In particular these pin the FlatMap ports of FlashCacheSim and
-// FlashieldAdmission bit-for-bit.
+// why). In particular these pin the byte-FIFO flash model and the FlatMap
+// port of FlashieldAdmission bit-for-bit.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
-#include "src/flash/flash_cache.h"
 #include "src/flash/log_flash_cache.h"
 #include "src/workload/zipf_workload.h"
 
@@ -33,7 +32,7 @@ Trace GoldenTrace() {
 
 struct FlashGolden {
   const char* admission;
-  uint64_t sim_misses;       // FlashCacheSim (abstract byte-FIFO flash)
+  uint64_t sim_misses;       // abstract byte-FIFO flash (LogOrdering::kByteFifo)
   uint64_t sim_write_bytes;
   uint64_t log_misses;       // LogStructuredFlashCache, FIFO ordering
   uint64_t log_device_bytes;
@@ -61,14 +60,19 @@ TEST(FlashGoldenTest, Fig09AdmissionFingerprints) {
                                           ? DramDiscipline::kSmallFifo
                                           : DramDiscipline::kLru;
     {
-      FlashCacheConfig config;
-      config.flash_capacity_bytes = flash_bytes;
+      LogFlashCacheConfig config;
       config.dram_capacity_bytes = dram_bytes;
       config.dram_discipline = discipline;
-      const FlashCacheStats stats = SimulateFlashCache(
-          trace, config, CreateAdmissionPolicy(c.admission, trace.size() / 10, 11));
-      EXPECT_EQ(stats.misses, c.sim_misses) << c.admission << " (sim)";
-      EXPECT_EQ(stats.flash_write_bytes, c.sim_write_bytes) << c.admission << " (sim)";
+      config.log.segment_bytes = flash_bytes;
+      config.log.num_segments = 1;
+      config.log.ordering = LogOrdering::kByteFifo;
+      LogStructuredFlashCache cache(config,
+                                    CreateAdmissionPolicy(c.admission, trace.size() / 10, 11));
+      for (const Request& r : trace.requests()) {
+        cache.Get(r);
+      }
+      EXPECT_EQ(cache.stats().misses, c.sim_misses) << c.admission << " (sim)";
+      EXPECT_EQ(cache.AdmittedBytes(), c.sim_write_bytes) << c.admission << " (sim)";
     }
     {
       LogFlashCacheConfig config;

@@ -1,6 +1,6 @@
 // Segment log unit tests: seal boundaries, FIFO victim order, one-extra-pass
-// readmission, RIPQ promotion/decay, resize, and the byte-conservation
-// invariant the differential wall also checks.
+// readmission, RIPQ promotion/decay, the byte-FIFO ordering, resize, and the
+// byte-conservation invariant the differential wall also checks.
 #include "src/flash/segment_log.h"
 
 #include <gtest/gtest.h>
@@ -151,6 +151,42 @@ TEST(SegmentLogTest, ShrinkingResizeGcsImmediately) {
   EXPECT_LE(log.segments_in_use(), 2u);
   EXPECT_EQ(evicted, (std::vector<uint64_t>{1, 2, 3, 4}));
   ExpectConserved(log);
+}
+
+TEST(SegmentLogTest, ByteFifoEvictsOldestObjectsNoSegments) {
+  SegmentLogConfig config = SmallLog(100, 3);  // 300-byte byte FIFO
+  config.ordering = LogOrdering::kByteFifo;
+  SegmentLog log(config);
+  std::vector<uint64_t> evicted;
+  for (uint64_t id = 1; id <= 4; ++id) {
+    EXPECT_TRUE(log.Insert(id, 70, &evicted));  // objects may straddle "segments"
+  }
+  EXPECT_TRUE(evicted.empty());
+  EXPECT_TRUE(log.Lookup(1));  // a hit updates no ordering state
+  EXPECT_TRUE(log.Insert(5, 90, &evicted));  // 280 + 90 > 300: drop 1 only
+  EXPECT_EQ(evicted, (std::vector<uint64_t>{1}));
+  EXPECT_FALSE(log.Insert(6, 301, &evicted));  // larger than the whole device
+  EXPECT_EQ(log.stats().oversize_rejects, 1u);
+  EXPECT_TRUE(log.Insert(7, 300, &evicted));  // exactly the capacity: flushes all
+  EXPECT_EQ(evicted, (std::vector<uint64_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(log.live_bytes(), 300u);
+  EXPECT_EQ(log.live_objects(), 1u);
+  EXPECT_EQ(log.segments_in_use(), 0u);
+  EXPECT_EQ(log.stats().segments_gced, 0u);
+  EXPECT_EQ(log.stats().device_bytes_written, log.stats().admitted_bytes);
+  EXPECT_EQ(log.stats().dropped_objects, 5u);
+  ExpectConserved(log);
+
+  EXPECT_TRUE(log.Erase(7));
+  EXPECT_EQ(log.live_bytes(), 0u);
+  for (uint64_t id = 10; id <= 12; ++id) {
+    log.Insert(id, 100, &evicted);
+  }
+  evicted.clear();
+  log.Resize(2, &evicted);  // 200 bytes: the oldest object leaves at once
+  EXPECT_EQ(evicted, (std::vector<uint64_t>{10}));
+  EXPECT_EQ(log.live_bytes(), 200u);
+  EXPECT_EQ(log.capacity_bytes(), 200u);
 }
 
 TEST(SegmentLogTest, GcVictimSelectionIsDeterministic) {
