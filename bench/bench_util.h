@@ -8,6 +8,10 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <sys/utsname.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -114,6 +118,9 @@ class JsonFields {
   JsonFields& Add(const std::string& key, unsigned v) { return AddRaw(key, std::to_string(v)); }
   JsonFields& Add(const std::string& key, int v) { return AddRaw(key, std::to_string(v)); }
   JsonFields& Add(const std::string& key, bool v) { return AddRaw(key, v ? "true" : "false"); }
+  JsonFields& Add(const std::string& key, const JsonFields& object) {
+    return AddRaw(key, object.Serialize());
+  }
 
   std::string Serialize() const {
     std::string out = "{";
@@ -151,6 +158,79 @@ class JsonFields {
 
   std::vector<std::pair<std::string, std::string>> fields_;
 };
+
+// Median, min and quartiles of repeated measurements of one quantity
+// (quartiles interpolate linearly between order statistics).
+struct RepSpread {
+  double median = 0;
+  double min = 0;
+  double q1 = 0;
+  double q3 = 0;
+
+  static RepSpread Of(std::vector<double> v) {
+    RepSpread s;
+    if (v.empty()) {
+      return s;
+    }
+    std::sort(v.begin(), v.end());
+    auto quantile = [&v](double q) {
+      const double pos = q * static_cast<double>(v.size() - 1);
+      const size_t lo = static_cast<size_t>(pos);
+      const size_t hi = std::min(lo + 1, v.size() - 1);
+      return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+    };
+    s.median = quantile(0.5);
+    s.min = v.front();
+    s.q1 = quantile(0.25);
+    s.q3 = quantile(0.75);
+    return s;
+  }
+  double iqr() const { return q3 - q1; }
+};
+
+// The machine and build a benchmark ran on: nproc, CPU model, kernel,
+// compiler, and the git sha of the working directory ("unknown" outside a
+// checkout; suffixed "+dirty" when tracked files differ from that commit).
+inline JsonFields BenchEnvironment() {
+  std::string cpu = "unknown";
+  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[512];
+    while (std::fgets(line, sizeof(line), f) != nullptr) {
+      const char* colon = std::strchr(line, ':');
+      if (std::strncmp(line, "model name", 10) == 0 && colon != nullptr) {
+        cpu = colon + 1 + std::strspn(colon + 1, " \t");
+        cpu.erase(cpu.find_last_not_of("\r\n") + 1);
+        break;
+      }
+    }
+    std::fclose(f);
+  }
+  utsname u{};
+  uname(&u);
+  std::string sha = "unknown";
+  if (std::FILE* p = popen("git rev-parse HEAD 2>/dev/null", "r")) {
+    char buf[64] = {};
+    if (std::fgets(buf, sizeof(buf), p) != nullptr && buf[0] != '\0') {
+      sha = buf;
+      sha.erase(sha.find_last_not_of("\r\n") + 1);
+    }
+    pclose(p);
+  }
+  if (std::FILE* p = popen("git status --porcelain -uno 2>/dev/null", "r")) {
+    char buf[8];
+    if (sha != "unknown" && std::fgets(buf, sizeof(buf), p) != nullptr) {
+      sha += "+dirty";
+    }
+    pclose(p);
+  }
+  JsonFields env;
+  env.Add("nproc", static_cast<uint64_t>(sysconf(_SC_NPROCESSORS_ONLN)))
+      .Add("cpu_model", cpu)
+      .Add("kernel", std::string(u.sysname) + " " + u.release)
+      .Add("compiler", std::string(__VERSION__))
+      .Add("git_sha", sha);
+  return env;
+}
 
 // Writes BENCH_<bench_name>.json into the working directory:
 // {"bench": ..., "summary": {...}, "rows": [{...}, ...]}.

@@ -21,22 +21,6 @@ namespace {
 
 constexpr const char* kVersionLine = "VERSION s3fifo-server 1.0\r\n";
 
-void AppendU64(std::vector<char>& out, uint64_t v) {
-  char buf[20];
-  int n = 0;
-  do {
-    buf[n++] = static_cast<char>('0' + v % 10);
-    v /= 10;
-  } while (v != 0);
-  while (n > 0) {
-    out.push_back(buf[--n]);
-  }
-}
-
-void AppendStr(std::vector<char>& out, std::string_view s) {
-  out.insert(out.end(), s.begin(), s.end());
-}
-
 void AppendStat(std::vector<char>& out, std::string_view name, uint64_t v) {
   AppendStr(out, "STAT ");
   AppendStr(out, name);
@@ -146,7 +130,7 @@ struct CacheServer::Worker final : public Transport::Handler {
                      size_t* cap) override {
     auto* c = static_cast<Connection*>(ud);
     if (!c->in.EnsureWritable(4096)) {
-      if (!c->parse_blocked) {
+      if (!c->parse_blocked && !c->pumping) {
         // Buffer at capacity yet the parser is not backpressured: a single
         // frame fills the whole buffer without parsing fatal. Cannot happen
         // with the current limits (kMaxLineLen, kMaxValueBytes are both well
@@ -155,8 +139,10 @@ struct CacheServer::Worker final : public Transport::Handler {
         CloseConn(c);
         return false;
       }
-      // Full of commands we may not execute yet: pause reading. The next
-      // drain unblocks the parser, frees space, and resumes (ResumeRead).
+      // Full of commands we may not execute yet (the parser is blocked, or
+      // a Pump further up the stack resumed reading and parses once the
+      // read returns): pause reading. The next drain unblocks the parser,
+      // frees space, and resumes (ResumeRead).
       c->read_paused = true;
       return false;
     }
@@ -476,15 +462,8 @@ bool CacheServer::SetupWorkers(TransportKind kind, std::string* error) {
       workers_.push_back(std::move(w));  // so teardown closes the partial fds
       return false;
     }
-    std::string note;
-    w->transport = MakeTransport(kind, &note);
-    if (w->transport == nullptr) {
-      if (error != nullptr) {
-        *error = note;
-      }
-      workers_.push_back(std::move(w));
-      return false;
-    }
+    w->transport = kind == TransportKind::kUring ? MakeUringTransport()
+                                                 : MakeEpollTransport();
     std::string terr;
     if (!w->transport->Init(w.get(), w->listen_fd, &terr)) {
       if (error != nullptr) {
@@ -518,16 +497,22 @@ bool CacheServer::Start(std::string* error) {
   workers_.clear();
   transport_note_.clear();
 
+  // The one place kAuto is resolved: probe io_uring once for all workers.
   TransportKind kind = config_.transport;
-  if (kind == TransportKind::kAuto) {
+  if (kind != TransportKind::kEpoll) {
     std::string why;
-    if (MakeUringTransport() != nullptr && IoUringAvailable(&why)) {
+    if (IoUringAvailable(&why)) {
       kind = TransportKind::kUring;
-    } else {
+    } else if (kind == TransportKind::kAuto) {
       kind = TransportKind::kEpoll;
-      transport_note_ =
-          "transport=auto: io_uring unavailable (" + why +
-          "), falling back to epoll";
+      transport_note_ = "transport=auto: io_uring unavailable (" + why +
+                        "), falling back to epoll";
+    } else {
+      if (error != nullptr) {
+        *error = "transport=uring: io_uring unavailable (" + why + ")";
+      }
+      Stop();
+      return false;
     }
   }
   std::string setup_error;

@@ -16,10 +16,11 @@
 //        blocked parser.
 //
 // The event loop mechanics live behind the Transport interface
-// (src/server/transport.h): the epoll backend is the PR-8 readiness loop,
-// the io_uring backend batches the whole loop iteration into one
-// submit-and-wait syscall. `ServerConfig::transport` picks the backend;
-// kAuto probes io_uring and falls back to epoll when the kernel denies it.
+// (src/server/transport.h): the epoll backend is a readiness loop, the
+// io_uring backend batches a loop iteration into one submit-and-wait
+// syscall. `ServerConfig::transport` picks the backend; Start() resolves
+// kAuto (the only place it is resolved): io_uring if the probe passes, else
+// epoll.
 //
 // Every worker owns its own listening socket bound with SO_REUSEPORT to the
 // same port, so the kernel spreads connections across workers with no shared

@@ -1,7 +1,8 @@
 // Readiness-model transport: edge-triggered epoll + per-fd nonblocking
-// read/send syscalls. This is the seed PR-8 event loop factored behind the
-// Transport interface, byte-for-byte identical on the wire; it is always
-// available and serves as the fallback when io_uring is denied.
+// read/send syscalls. Always available: the server's fallback when io_uring
+// is denied, and the load generator's only backend. The listener itself is
+// level-triggered, so a connection accept4 cannot take at the fd limit is
+// shed through the FdReserve rather than reported again and again.
 #include <errno.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -11,7 +12,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -26,25 +26,13 @@ class EpollTransport final : public Transport {
   struct EConn {
     int fd = -1;
     void* ud = nullptr;
-    // Owned outgoing buffers; front() is partially sent up to front_off.
-    std::deque<std::vector<char>> sendq;
-    size_t front_off = 0;
-    size_t queued_bytes = 0;
+    SendQueue sendq;
     bool read_paused = false;  // handler returned false from GetReadBuffer
     bool read_ready = false;   // an unconsumed EPOLLIN edge while paused
     bool dead = false;         // close deferred to the end of the dispatch
   };
 
   ~EpollTransport() override {
-    for (EConn* c : conns_) {
-      if (c->fd >= 0) {
-        close(c->fd);
-      }
-      delete c;
-    }
-    for (auto& [c, notify] : dead_) {
-      delete c;  // destruction never notifies
-    }
     if (epoll_fd_ >= 0) {
       close(epoll_fd_);
     }
@@ -72,6 +60,7 @@ class EpollTransport final : public Transport {
       ev.events = EPOLLIN;
       ev.data.ptr = &listen_tag_;
       epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
+      reserve_.Open();
     }
     return true;
   }
@@ -113,7 +102,7 @@ class EpollTransport final : public Transport {
         if (!FlushSendQueue(c)) {
           continue;
         }
-        if (c->queued_bytes == 0) {
+        if (c->sendq.empty()) {
           handler_->OnWritable(AsConn(c), c->ud);
           if (c->dead) {
             continue;
@@ -125,7 +114,7 @@ class EpollTransport final : public Transport {
         ReadReady(c);
       }
     }
-    DeliverClosures();
+    conns_.DeliverClosures(handler_);
     return true;
   }
 
@@ -148,7 +137,7 @@ class EpollTransport final : public Transport {
       return nullptr;
     }
     counters_.syscalls++;
-    conns_.push_back(c);
+    conns_.Add(c);
     return AsConn(c);
   }
 
@@ -157,8 +146,7 @@ class EpollTransport final : public Transport {
     if (data->empty() || c->dead) {
       return;
     }
-    c->queued_bytes += data->size();
-    c->sendq.push_back(TakeBuffer(data));
+    c->sendq.Push(data, &send_bufs_);
     // Try immediately: with edge-triggered EPOLLOUT, the writable edge for a
     // never-full socket never fires — flush eagerly, fall back to the edge
     // only on EAGAIN.
@@ -166,7 +154,7 @@ class EpollTransport final : public Transport {
   }
 
   size_t SendQueueBytes(const Conn* conn) const override {
-    return FromConn(conn)->queued_bytes;
+    return FromConn(conn)->sendq.bytes();
   }
 
   void ResumeRead(Conn* conn) override {
@@ -196,30 +184,16 @@ class EpollTransport final : public Transport {
     return reinterpret_cast<const EConn*>(c);
   }
 
-  std::vector<char> TakeBuffer(std::vector<char>* data) {
-    std::vector<char> owned;
-    if (!free_bufs_.empty()) {
-      owned = std::move(free_bufs_.back());
-      free_bufs_.pop_back();
-    }
-    owned.swap(*data);
-    data->clear();
-    return owned;
-  }
-
-  void RecycleBuffer(std::vector<char>&& buf) {
-    if (free_bufs_.size() < 16) {
-      buf.clear();
-      free_bufs_.push_back(std::move(buf));
-    }
-  }
-
   void HandleAccept() {
     while (true) {
       const int fd =
           accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
       counters_.syscalls++;
       if (fd < 0) {
+        if ((errno == EMFILE || errno == ENFILE) &&
+            reserve_.Shed(listen_fd_, &counters_.syscalls)) {
+          continue;  // shed one; more may be queued
+        }
         return;  // EAGAIN or transient error: nothing more to accept now
       }
       const int one = 1;
@@ -229,7 +203,6 @@ class EpollTransport final : public Transport {
       if (conn == nullptr) {
         continue;
       }
-      counters_.accepts++;
       FromConn(conn)->ud = handler_->OnAccept(conn);
     }
   }
@@ -238,20 +211,13 @@ class EpollTransport final : public Transport {
   // (already closed and OnClose delivered).
   bool FlushSendQueue(EConn* c) {
     while (!c->sendq.empty()) {
-      std::vector<char>& front = c->sendq.front();
       // MSG_NOSIGNAL: a client that vanished mid-response must surface as
       // EPIPE (we close the connection), not SIGPIPE the whole process.
-      const ssize_t n = send(c->fd, front.data() + c->front_off,
-                             front.size() - c->front_off, MSG_NOSIGNAL);
+      const ssize_t n = send(c->fd, c->sendq.front_data(),
+                             c->sendq.front_size(), MSG_NOSIGNAL);
       counters_.syscalls++;
       if (n > 0) {
-        c->front_off += static_cast<size_t>(n);
-        c->queued_bytes -= static_cast<size_t>(n);
-        if (c->front_off == front.size()) {
-          RecycleBuffer(std::move(front));
-          c->sendq.pop_front();
-          c->front_off = 0;
-        }
+        c->sendq.Advance(static_cast<size_t>(n), &send_bufs_);
         continue;
       }
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
@@ -307,31 +273,7 @@ class EpollTransport final : public Transport {
     close(c->fd);
     counters_.syscalls += 2;
     c->fd = -1;
-    // The EConn stays allocated until the dispatch batch ends (later events
-    // in the same epoll_wait return may still point at it), and OnClose is
-    // deferred with it: a death detected inside a handler-initiated Send()
-    // must not re-enter the handler while it still holds the connection.
-    dead_.push_back({c, notify});
-    for (size_t i = 0; i < conns_.size(); ++i) {
-      if (conns_[i] == c) {
-        conns_[i] = conns_.back();
-        conns_.pop_back();
-        break;
-      }
-    }
-  }
-
-  void DeliverClosures() {
-    // OnClose may Close() other conns, growing dead_; index loop, no iterators.
-    for (size_t i = 0; i < dead_.size(); ++i) {
-      if (dead_[i].second) {
-        handler_->OnClose(AsConn(dead_[i].first), dead_[i].first->ud);
-      }
-    }
-    for (auto& [c, notify] : dead_) {
-      delete c;
-    }
-    dead_.clear();
+    conns_.Retire(c, notify);
   }
 
   Handler* handler_ = nullptr;
@@ -341,9 +283,9 @@ class EpollTransport final : public Transport {
   // Distinct addresses used as epoll_event tags for non-connection fds.
   char listen_tag_ = 0;
   char wake_tag_ = 0;
-  std::vector<EConn*> conns_;
-  std::vector<std::pair<EConn*, bool>> dead_;  // (conn, deliver OnClose)
-  std::vector<std::vector<char>> free_bufs_;
+  FdReserve reserve_;
+  ConnTable<EConn> conns_;
+  SendBufferPool send_bufs_;
   TransportCounters counters_;
 };
 

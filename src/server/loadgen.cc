@@ -34,22 +34,6 @@ uint64_t NowNs() {
           .count());
 }
 
-void AppendU64(std::vector<char>& out, uint64_t v) {
-  char buf[20];
-  int n = 0;
-  do {
-    buf[n++] = static_cast<char>('0' + v % 10);
-    v /= 10;
-  } while (v != 0);
-  while (n > 0) {
-    out.push_back(buf[--n]);
-  }
-}
-
-void AppendStr(std::vector<char>& out, std::string_view s) {
-  out.insert(out.end(), s.begin(), s.end());
-}
-
 // What the next response on the wire must look like.
 enum class RespKind : uint8_t { kGet, kLine };
 
@@ -184,8 +168,8 @@ bool ConnectLoopback(ClientConn& c, const std::string& host, uint16_t port,
   }
   if (connect(c.fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     // EINTR leaves the connect completing asynchronously (an in-process
-    // io_uring peer's task-work can interrupt us): wait for writability and
-    // read the final status instead of failing.
+    // io_uring server's task-work can interrupt us): wait for writability
+    // and read the final status instead of failing.
     bool ok = false;
     if (errno == EINTR) {
       pollfd pfd{c.fd, POLLOUT, 0};
@@ -223,7 +207,7 @@ struct ThreadOutcome {
   std::string error;
 };
 
-// One client thread: owns a transport instance (listener-less) and the
+// One client thread: owns a listener-less epoll transport and the
 // connections adopted into it. Requests are encoded into each connection's
 // out buffer and handed to the transport; completed responses arrive through
 // the Handler callbacks.
@@ -239,18 +223,17 @@ class ClientThread final : public Transport::Handler {
         outcome_(outcome),
         open_loop_(cfg.target_rate > 0) {}
 
-  void Run(TransportKind kind) {
-    std::string note;
-    auto transport = MakeTransport(kind, &note);
+  void Run() {
+    auto transport = MakeEpollTransport();
     std::string err;
-    if (transport == nullptr || !transport->Init(this, -1, &err)) {
+    if (!transport->Init(this, -1, &err)) {
       for (auto& c : *conns_) {
         if (c.fd >= 0) {
           close(c.fd);
           c.fd = -1;
         }
       }
-      Fail("transport init: " + (transport == nullptr ? note : err));
+      Fail("transport init: " + err);
       return;
     }
     transport_ = transport.get();
@@ -432,22 +415,6 @@ LoadGenResult RunLoadGen(const LoadGenConfig& config, const Trace& trace) {
   const unsigned nconns = std::max(nthreads, config.connections);
   const bool open_loop = config.target_rate > 0;
 
-  // Resolve the backend once so every thread runs the same one.
-  TransportKind kind = config.transport;
-  if (kind == TransportKind::kAuto) {
-    std::string why;
-    kind = (MakeUringTransport() != nullptr && IoUringAvailable(&why))
-               ? TransportKind::kUring
-               : TransportKind::kEpoll;
-  } else if (kind == TransportKind::kUring) {
-    std::string why;
-    if (MakeUringTransport() == nullptr || !IoUringAvailable(&why)) {
-      result.error = "transport=uring: io_uring unavailable (" + why + ")";
-      return result;
-    }
-  }
-  result.transport_used = TransportKindName(kind);
-
   uint64_t total_ops = config.max_ops == 0 ? trace.size() : config.max_ops;
   if (open_loop && config.duration_s > 0) {
     total_ops = ~uint64_t{0};  // the deadline is the stop condition
@@ -499,8 +466,8 @@ LoadGenResult RunLoadGen(const LoadGenConfig& config, const Trace& trace) {
   for (unsigned t = 0; t < nthreads; ++t) {
     drivers.push_back(std::make_unique<ClientThread>(
         config, trace, &per_thread[t], deadline_ns, &outcomes[t]));
-    threads.emplace_back([driver = drivers.back().get(), kind] {
-      driver->Run(kind);  // the transport (and every adopted fd) dies here
+    threads.emplace_back([driver = drivers.back().get()] {
+      driver->Run();  // the transport (and every adopted fd) dies here
     });
   }
   for (auto& t : threads) {

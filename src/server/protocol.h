@@ -76,6 +76,24 @@ ParseResult ParseCommand(std::string_view data, ParseOutput& out);
 // (collisions alias cache slots, acceptable for a cache).
 uint64_t KeyToId(std::string_view key);
 
+// Rendering helpers shared by the server's responses and the load
+// generator's requests.
+inline void AppendStr(std::vector<char>& out, std::string_view s) {
+  out.insert(out.end(), s.begin(), s.end());
+}
+
+inline void AppendU64(std::vector<char>& out, uint64_t v) {
+  char buf[20];
+  int n = 0;
+  do {
+    buf[n++] = static_cast<char>('0' + v % 10);
+    v /= 10;
+  } while (v != 0);
+  while (n > 0) {
+    out.push_back(buf[--n]);
+  }
+}
+
 }  // namespace s3fifo
 
 #endif  // SRC_SERVER_PROTOCOL_H_

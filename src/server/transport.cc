@@ -1,5 +1,8 @@
 #include "src/server/transport.h"
 
+#include <fcntl.h>
+#include <sys/socket.h>
+
 namespace s3fifo {
 
 bool ParseTransportKind(std::string_view name, TransportKind* out) {
@@ -30,40 +33,27 @@ const char* TransportKindName(TransportKind kind) {
   return "?";
 }
 
-std::unique_ptr<Transport> MakeTransport(TransportKind kind,
-                                         std::string* note) {
-  std::string why;
-  switch (kind) {
-    case TransportKind::kEpoll:
-      return MakeEpollTransport();
-    case TransportKind::kUring: {
-      auto t = MakeUringTransport();
-      if (t == nullptr) {
-        if (note != nullptr) {
-          *note = "transport=uring: io_uring support not compiled in";
-        }
-        return nullptr;
-      }
-      if (!IoUringAvailable(&why)) {
-        if (note != nullptr) {
-          *note = "transport=uring: io_uring unavailable (" + why + ")";
-        }
-        return nullptr;
-      }
-      return t;
-    }
-    case TransportKind::kAuto:
-      break;
+FdReserve::~FdReserve() {
+  if (fd_ >= 0) {
+    close(fd_);
   }
-  if (auto t = MakeUringTransport(); t != nullptr && IoUringAvailable(&why)) {
-    return t;
+}
+
+void FdReserve::Open() { fd_ = open("/dev/null", O_RDONLY | O_CLOEXEC); }
+
+bool FdReserve::Shed(int listen_fd, uint64_t* syscalls) {
+  if (fd_ < 0) {
+    return false;
   }
-  if (note != nullptr) {
-    *note = "transport=auto: io_uring unavailable (" +
-            (why.empty() ? std::string("not compiled in") : why) +
-            "), falling back to epoll";
+  close(fd_);
+  const int fd = accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
+  if (fd >= 0) {
+    close(fd);
+    ++*syscalls;
   }
-  return MakeEpollTransport();
+  Open();
+  *syscalls += 3;
+  return fd >= 0;
 }
 
 }  // namespace s3fifo

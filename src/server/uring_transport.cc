@@ -1,7 +1,9 @@
 // Completion-model transport on raw io_uring syscalls (no liburing):
 //
 //  * one multishot ACCEPT per listener — accepted fds arrive as CQEs, no
-//    accept4 loop;
+//    accept4 loop. At the fd limit the accept fails at once, backlog or
+//    not: the transport sheds a backlogged connection through the FdReserve
+//    and re-arms the accept only after a POLL on the listener fires;
 //  * one multishot RECV per connection, delivering into a registered
 //    provided-buffer ring (IORING_REGISTER_PBUF_RING) — received bytes show
 //    up in CQEs tagged with a buffer id, no per-fd read syscalls and no
@@ -11,17 +13,9 @@
 //    while the kernel reads them asynchronously);
 //  * the shutdown eventfd armed as an IORING_OP_READ on the ring, so Wake()
 //    is just an eventfd write and the wake costs no extra wait primitives;
-//  * one io_uring_enter(GETEVENTS) per loop iteration submits every SQE
-//    queued since the last one AND waits — the per-fd syscall storm of the
-//    readiness model collapses into a single batched crossing.
-//
-// Loopback sends usually complete inline during submission, which would
-// bounce the combined submit-and-wait right back with only our own send
-// CQEs. When the enter carries K send SQEs we therefore wait for K+1
-// completions with a 1ms cap: the send CQEs are counted, and the enter keeps
-// sleeping until real work (the next recv) arrives. The cap only delays
-// internal bookkeeping (OnWritable); the response bytes themselves were
-// already handed to the kernel by then.
+//  * one io_uring_enter(GETEVENTS) per idle loop iteration submits every
+//    SQE queued since the last one AND waits for one completion — the per-fd
+//    syscall storm of the readiness model collapses into batched crossings.
 //
 // Close protocol: a connection may have up to two operations in flight (the
 // multishot recv and one send). Closing shuts the socket down to provoke
@@ -51,8 +45,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -105,6 +97,7 @@ class UringTransport final : public Transport {
   static constexpr uint64_t kTagSend = 1;
   static constexpr uint64_t kUdAccept = 2;
   static constexpr uint64_t kUdWake = 3;
+  static constexpr uint64_t kUdListenPoll = 4;
 
   struct Holdover {
     uint16_t bid;
@@ -115,9 +108,7 @@ class UringTransport final : public Transport {
   struct UConn {
     int fd = -1;
     void* ud = nullptr;
-    std::deque<std::vector<char>> sendq;
-    size_t front_off = 0;
-    size_t queued_bytes = 0;
+    SendQueue sendq;
     bool send_inflight = false;  // a send SQE is queued or submitted
     bool recv_armed = false;     // the multishot recv is live
     bool recv_starved = false;   // recv died with ENOBUFS; re-arm on recycle
@@ -131,15 +122,6 @@ class UringTransport final : public Transport {
   };
 
   ~UringTransport() override {
-    for (UConn* c : conns_) {
-      if (c->fd >= 0) {
-        close(c->fd);
-      }
-      delete c;
-    }
-    for (auto& [c, notify] : dead_) {
-      delete c;
-    }
     if (ring_fd_ >= 0) {
       close(ring_fd_);
     }
@@ -173,6 +155,10 @@ class UringTransport final : public Transport {
       }
       return false;
     };
+    if (listen_fd_ < 0) {
+      errno = EINVAL;
+      return fail("io_uring transport needs a listener");
+    }
 
     io_uring_params p{};
     p.flags = IORING_SETUP_CQSIZE | IORING_SETUP_CLAMP;
@@ -202,11 +188,11 @@ class UringTransport final : public Transport {
     if (ring_fd_ < 0) {
       return fail("io_uring_setup");
     }
-    features_ = p.features;
+    const unsigned features = p.features;
     // The timed-wait path needs EXT_ARG; any kernel with provided-buffer
     // rings (5.19) has it (5.11). Refuse odd kernels: the caller falls back.
-    if ((features_ & IORING_FEAT_EXT_ARG) == 0 ||
-        (features_ & IORING_FEAT_NODROP) == 0) {
+    if ((features & IORING_FEAT_EXT_ARG) == 0 ||
+        (features & IORING_FEAT_NODROP) == 0) {
       errno = ENOSYS;
       return fail("io_uring features");
     }
@@ -215,7 +201,7 @@ class UringTransport final : public Transport {
     // mapping.
     sq_ring_bytes_ = p.sq_off.array + p.sq_entries * sizeof(unsigned);
     cq_ring_bytes_ = p.cq_off.cqes + p.cq_entries * sizeof(io_uring_cqe);
-    if ((features_ & IORING_FEAT_SINGLE_MMAP) != 0) {
+    if ((features & IORING_FEAT_SINGLE_MMAP) != 0) {
       sq_ring_bytes_ = cq_ring_bytes_ =
           sq_ring_bytes_ > cq_ring_bytes_ ? sq_ring_bytes_ : cq_ring_bytes_;
     }
@@ -225,7 +211,7 @@ class UringTransport final : public Transport {
       sq_ring_ptr_ = nullptr;
       return fail("mmap(sq_ring)");
     }
-    if ((features_ & IORING_FEAT_SINGLE_MMAP) != 0) {
+    if ((features & IORING_FEAT_SINGLE_MMAP) != 0) {
       cq_ring_ptr_ = sq_ring_ptr_;
     } else {
       cq_ring_ptr_ = mmap(nullptr, cq_ring_bytes_, PROT_READ | PROT_WRITE,
@@ -293,9 +279,8 @@ class UringTransport final : public Transport {
       return fail("eventfd");
     }
     ArmWakeRead();
-    if (listen_fd_ >= 0) {
-      ArmAccept();
-    }
+    ArmAccept();
+    reserve_.Open();
     return true;
   }
 
@@ -313,32 +298,15 @@ class UringTransport final : public Transport {
       counters_.syscalls++;
     }
 #endif
-    static const bool debug = getenv("S3FIFO_URING_DEBUG") != nullptr;
-    unsigned n = DispatchCompletions();
-    if (n == 0) {
-      int tmo = timeout_ms;
-      if (debug && (tmo < 0 || tmo > 2000)) {
-        tmo = 2000;
-      }
-      if (!EnterAndWait(tmo)) {
+    if (DispatchCompletions() == 0) {
+      if (!EnterAndWait(timeout_ms)) {
         return false;
       }
-      const unsigned got = DispatchCompletions();
-      if (debug) {
-        if (got == 0) {
-          if (++idle_waits_ >= 2) {
-            DumpState();
-          }
-        } else {
-          idle_waits_ = 0;
-        }
-      }
-    } else if (debug) {
-      idle_waits_ = 0;
+      DispatchCompletions();
     }
     // SQEs queued by this batch's handlers ride along with the next Poll's
     // combined submit-and-wait — no flush syscall here.
-    DeliverClosures();
+    conns_.DeliverClosures(handler_);
     return true;
   }
 
@@ -351,7 +319,7 @@ class UringTransport final : public Transport {
     auto* c = new UConn;
     c->fd = fd;
     c->ud = ud;
-    conns_.push_back(c);
+    conns_.Add(c);
     ArmRecv(c);
     return AsConn(c);
   }
@@ -361,15 +329,14 @@ class UringTransport final : public Transport {
     if (data->empty() || c->dead || c->closing) {
       return;
     }
-    c->queued_bytes += data->size();
-    c->sendq.push_back(TakeBuffer(data));
+    c->sendq.Push(data, &send_bufs_);
     if (!c->send_inflight) {
       SubmitSend(c);
     }
   }
 
   size_t SendQueueBytes(const Conn* conn) const override {
-    return FromConn(conn)->queued_bytes;
+    return FromConn(conn)->sendq.bytes();
   }
 
   void ResumeRead(Conn* conn) override {
@@ -398,41 +365,6 @@ class UringTransport final : public Transport {
   static UConn* FromConn(Conn* c) { return reinterpret_cast<UConn*>(c); }
   static const UConn* FromConn(const Conn* c) {
     return reinterpret_cast<const UConn*>(c);
-  }
-
-  std::vector<char> TakeBuffer(std::vector<char>* data) {
-    std::vector<char> owned;
-    if (!free_sendbufs_.empty()) {
-      owned = std::move(free_sendbufs_.back());
-      free_sendbufs_.pop_back();
-    }
-    owned.swap(*data);
-    data->clear();
-    return owned;
-  }
-
-  void RecycleSendBuffer(std::vector<char>&& buf) {
-    if (free_sendbufs_.size() < 16) {
-      buf.clear();
-      free_sendbufs_.push_back(std::move(buf));
-    }
-  }
-
-  void DumpState() {
-    fprintf(stderr,
-            "[uring %p] free_bufs=%u starved=%zu conns=%zu pend_sub=%u "
-            "pend_send_sqes=%u\n",
-            static_cast<void*>(this), free_bufs_, starved_.size(),
-            conns_.size(), PendingSubmissions(), pending_send_sqes_);
-    for (UConn* c : conns_) {
-      fprintf(stderr,
-              "  conn fd=%d sendq=%zu qbytes=%zu send_inflight=%d "
-              "recv_armed=%d recv_starved=%d read_paused=%d closing=%d "
-              "holdover=%zu\n",
-              c->fd, c->sendq.size(), c->queued_bytes, c->send_inflight,
-              c->recv_armed, c->recv_starved, c->read_paused, c->closing,
-              c->holdover.size());
-    }
   }
 
   // --- submission-queue plumbing -------------------------------------------
@@ -474,29 +406,20 @@ class UringTransport final : public Transport {
       counters_.sqe_batches++;
       counters_.sqes += static_cast<uint64_t>(r);
     }
-    pending_send_sqes_ = 0;
   }
 
+  // Submits everything queued and waits for one completion, at most
+  // `timeout_ms` (-1 = forever).
   bool EnterAndWait(int timeout_ms) {
     const unsigned to_submit = PendingSubmissions();
-    unsigned wait_nr = 1;
-    int tmo = timeout_ms;
-    if (pending_send_sqes_ > 0) {
-      // Loopback sends complete inline during this very submission; waiting
-      // for one completion would return immediately with only our own send
-      // CQEs. Count them into the wait target, capped by a short timeout in
-      // case a send does NOT complete (slow reader) — see file comment.
-      wait_nr += pending_send_sqes_;
-      tmo = tmo < 0 ? 1 : (tmo < 1 ? tmo : 1);
-    }
     unsigned flags = IORING_ENTER_GETEVENTS;
     io_uring_getevents_arg arg{};
     __kernel_timespec ts{};
     const void* argp = nullptr;
     size_t argsz = 0;
-    if (tmo >= 0) {
-      ts.tv_sec = tmo / 1000;
-      ts.tv_nsec = static_cast<long long>(tmo % 1000) * 1000000;
+    if (timeout_ms >= 0) {
+      ts.tv_sec = timeout_ms / 1000;
+      ts.tv_nsec = static_cast<long long>(timeout_ms % 1000) * 1000000;
       arg.ts = reinterpret_cast<uint64_t>(&ts);
       argp = &arg;
       argsz = sizeof(arg);
@@ -504,7 +427,7 @@ class UringTransport final : public Transport {
     }
     int r;
     do {
-      r = SysUringEnter(ring_fd_, to_submit, wait_nr, flags, argp, argsz);
+      r = SysUringEnter(ring_fd_, to_submit, 1, flags, argp, argsz);
     } while (r < 0 && errno == EINTR);
     counters_.syscalls++;
     counters_.waits++;
@@ -513,16 +436,11 @@ class UringTransport final : public Transport {
         counters_.sqe_batches++;
         counters_.sqes += static_cast<uint64_t>(r);
       }
-      pending_send_sqes_ = 0;
       return true;
     }
     // ETIME: the timed wait elapsed (SQEs were still submitted). EBUSY /
     // EAGAIN: completion-side pressure; back off to dispatch what's there.
-    if (errno == ETIME || errno == EBUSY || errno == EAGAIN) {
-      pending_send_sqes_ = 0;
-      return true;
-    }
-    return false;
+    return errno == ETIME || errno == EBUSY || errno == EAGAIN;
   }
 
   // --- operation arming ----------------------------------------------------
@@ -551,6 +469,19 @@ class UringTransport final : public Transport {
     sqe->user_data = kUdAccept;
   }
 
+  // One-shot readiness wait on the listener, armed instead of the accept
+  // while out of fds (see file comment).
+  void ArmListenPoll() {
+    io_uring_sqe* sqe = GetSqe();
+    if (sqe == nullptr) {
+      return;
+    }
+    sqe->opcode = IORING_OP_POLL_ADD;
+    sqe->fd = listen_fd_;
+    sqe->poll32_events = POLLIN;
+    sqe->user_data = kUdListenPoll;
+  }
+
   void ArmRecv(UConn* c) {
     io_uring_sqe* sqe = GetSqe();
     if (sqe == nullptr) {
@@ -569,19 +500,17 @@ class UringTransport final : public Transport {
     if (c->sendq.empty() || c->send_inflight || c->dead) {
       return;
     }
-    const std::vector<char>& front = c->sendq.front();
     io_uring_sqe* sqe = GetSqe();
     if (sqe == nullptr) {
       return;
     }
     sqe->opcode = IORING_OP_SEND;
     sqe->fd = c->fd;
-    sqe->addr = reinterpret_cast<uint64_t>(front.data() + c->front_off);
-    sqe->len = static_cast<unsigned>(front.size() - c->front_off);
+    sqe->addr = reinterpret_cast<uint64_t>(c->sendq.front_data());
+    sqe->len = static_cast<unsigned>(c->sendq.front_size());
     sqe->msg_flags = MSG_NOSIGNAL;
     sqe->user_data = reinterpret_cast<uint64_t>(c) | kTagSend;
     c->send_inflight = true;
-    pending_send_sqes_++;
   }
 
   // --- provided-buffer ring ------------------------------------------------
@@ -677,6 +606,12 @@ class UringTransport final : public Transport {
           return;
         }
         break;
+      case kUdListenPoll:
+        if (cqe.user_data == kUdListenPoll) {
+          ArmAccept();
+          return;
+        }
+        break;
       default:
         break;
     }
@@ -695,12 +630,14 @@ class UringTransport final : public Transport {
       const int one = 1;
       setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       counters_.syscalls++;
-      counters_.accepts++;
-      auto* c = new UConn;
-      c->fd = fd;
-      conns_.push_back(c);
-      c->ud = handler_->OnAccept(AsConn(c));
-      ArmRecv(c);
+      Conn* conn = Adopt(fd, nullptr);
+      FromConn(conn)->ud = handler_->OnAccept(conn);
+    } else if (cqe.res == -EMFILE || cqe.res == -ENFILE) {
+      reserve_.Shed(listen_fd_, &counters_.syscalls);
+      if (!more) {
+        ArmListenPoll();  // not the accept: it would fail again at once
+      }
+      return;
     }
     if (!more) {
       ArmAccept();  // multishot terminated (error or resource pressure)
@@ -763,15 +700,7 @@ class UringTransport final : public Transport {
       CloseInternal(c, /*notify=*/true);  // EPIPE/ECONNRESET/...
       return;
     }
-    size_t sent = static_cast<size_t>(cqe.res);
-    c->front_off += sent;
-    c->queued_bytes -= sent;
-    std::vector<char>& front = c->sendq.front();
-    if (c->front_off == front.size()) {
-      RecycleSendBuffer(std::move(front));
-      c->sendq.pop_front();
-      c->front_off = 0;
-    }
+    c->sendq.Advance(static_cast<size_t>(cqe.res), &send_bufs_);
     if (!c->sendq.empty()) {
       SubmitSend(c);  // short send or further queued buffers
     } else {
@@ -889,35 +818,14 @@ class UringTransport final : public Transport {
     close(c->fd);
     counters_.syscalls++;
     c->fd = -1;
-    for (size_t i = 0; i < conns_.size(); ++i) {
-      if (conns_[i] == c) {
-        conns_[i] = conns_.back();
-        conns_.pop_back();
-        break;
-      }
-    }
-    dead_.push_back({c, c->notify});
-  }
-
-  void DeliverClosures() {
-    for (size_t i = 0; i < dead_.size(); ++i) {
-      if (dead_[i].second) {
-        handler_->OnClose(AsConn(dead_[i].first), dead_[i].first->ud);
-      }
-    }
-    for (auto& [c, notify] : dead_) {
-      delete c;
-    }
-    dead_.clear();
+    conns_.Retire(c, c->notify);
   }
 
   Handler* handler_ = nullptr;
   int listen_fd_ = -1;
   int ring_fd_ = -1;
   int wake_fd_ = -1;
-  unsigned features_ = 0;
   bool needs_enable_ = false;  // ring created R_DISABLED; first Poll enables
-  unsigned idle_waits_ = 0;    // S3FIFO_URING_DEBUG: consecutive empty waits
   uint64_t wake_buf_ = 0;
 
   void* sq_ring_ptr_ = nullptr;
@@ -936,7 +844,6 @@ class UringTransport final : public Transport {
   unsigned* cq_tail_ = nullptr;
   unsigned cq_mask_ = 0;
   io_uring_cqe* cqes_ = nullptr;
-  unsigned pending_send_sqes_ = 0;
 
   io_uring_buf* buf_ring_ = nullptr;  // registered pbuf ring entry array
   size_t buf_ring_bytes_ = 0;
@@ -944,10 +851,10 @@ class UringTransport final : public Transport {
   unsigned buf_tail_ = 0;
   unsigned free_bufs_ = 0;
 
-  std::vector<UConn*> conns_;
+  FdReserve reserve_;
+  ConnTable<UConn> conns_;
   std::vector<UConn*> starved_;
-  std::vector<std::pair<UConn*, bool>> dead_;  // (conn, deliver OnClose)
-  std::vector<std::vector<char>> free_sendbufs_;
+  SendBufferPool send_bufs_;
   TransportCounters counters_;
 };
 

@@ -3,14 +3,20 @@
 // not fails, where the kernel denies io_uring_setup):
 //  * protocol smoke (set/get/delete/stats, pipelining, noreply, fragmented
 //    writes, protocol errors, quit);
+//  * resource pressure: accepting at the fd limit, and slow readers that
+//    drive the server through output backpressure, paused reads and (under
+//    io_uring) an exhausted provided-buffer pool;
 //  * the §5.3 consistency check taken all the way through the network
 //    stack: a deterministic trace replayed through a shards=1 server must
 //    produce hit/miss counts IDENTICAL to the simulator's s3fifo policy —
 //    the server's parsing, batching, and GetBatch pipeline may not change a
 //    single eviction decision.
 #include <errno.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -18,7 +24,9 @@
 
 #include <arpa/inet.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/concurrent/concurrent_s3fifo.h"
@@ -283,6 +291,268 @@ TEST_P(CacheServerTest, QuitClosesTheConnection) {
   server.Stop();
 }
 
+// --- Resource pressure -----------------------------------------------------
+
+// Lowers the process's soft RLIMIT_NOFILE to the lowest free fd number, so
+// that no new fd can be allocated; restores the limit on destruction.
+class FdLimitGuard {
+ public:
+  FdLimitGuard() {
+    ok_ = getrlimit(RLIMIT_NOFILE, &saved_) == 0;
+    const int probe = open("/dev/null", O_RDONLY | O_CLOEXEC);
+    ok_ = ok_ && probe >= 0;
+    if (!ok_) {
+      return;
+    }
+    close(probe);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = static_cast<rlim_t>(probe);
+    ok_ = setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+  }
+  ~FdLimitGuard() {
+    if (ok_) {
+      setrlimit(RLIMIT_NOFILE, &saved_);
+    }
+  }
+  bool ok() const { return ok_; }
+
+ private:
+  rlimit saved_{};
+  bool ok_ = false;
+};
+
+// Connections queued while the process is out of fds must not make the
+// worker spin. A level-triggered epoll listener stays ready while accept4
+// fails with EMFILE, and an io_uring accept re-armed at the limit fails
+// again at once; both transports shed such a connection through a reserve
+// fd instead (an io_uring accept armed before the limit dropped may accept
+// and serve it). Either way the worker stays nearly idle and serves new
+// connections once fds are available.
+TEST_P(CacheServerTest, AcceptAtFdLimitDoesNotSpin) {
+  CacheServer server(SmallServerConfig(GetParam()));
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  // Client sockets are fds too: create them before the limit drops.
+  std::vector<int> clients;
+  for (int i = 0; i < 4; ++i) {
+    clients.push_back(socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+    ASSERT_GE(clients.back(), 0);
+  }
+  {
+    FdLimitGuard guard;
+    ASSERT_TRUE(guard.ok());
+    for (const int fd : clients) {
+      ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+                0);
+    }
+    const uint64_t before = server.TotalStats().transport_syscalls;
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    const uint64_t spent = server.TotalStats().transport_syscalls - before;
+    EXPECT_LT(spent, 1000u) << "the worker spun on an undrainable backlog";
+  }
+  // Each queued connection was either shed (closed unserved) or accepted
+  // and served; none may hang.
+  for (const int fd : clients) {
+    send(fd, "version\r\n", 9, MSG_NOSIGNAL);
+    timeval tv{2, 0};
+    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    std::string reply;
+    char chunk[64];
+    ssize_t n;
+    do {
+      n = recv(fd, chunk, sizeof(chunk), 0);
+      if (n > 0) {
+        reply.append(chunk, static_cast<size_t>(n));
+      }
+    } while ((n > 0 && reply.find('\n') == std::string::npos) ||
+             (n < 0 && errno == EINTR));
+    const bool shed = n == 0 || (n < 0 && errno == ECONNRESET);
+    EXPECT_TRUE(shed || reply == "VERSION s3fifo-server 1.0\r\n")
+        << "a connection queued at the fd limit was neither served nor shed";
+    close(fd);
+  }
+  TestClient fresh(server.port());
+  ASSERT_TRUE(fresh.connected());
+  fresh.Send("version\r\n");
+  EXPECT_EQ(fresh.ReadUntil("\r\n"), "VERSION s3fifo-server 1.0\r\n");
+  server.Stop();
+}
+
+// A pipelining client that does not read. Every connection's requests are
+// pairs of gets for two keys with distinct values, so each pair must come
+// back as the same response unit, complete and in order.
+struct SlowReader {
+  int fd = -1;
+  std::string pair;      // "get A\r\nget B\r\n"
+  std::string unit;      // the response to one pair
+  std::string unsent;    // request bytes not yet accepted by the kernel
+  uint64_t pairs = 0;    // pairs queued (sent or in `unsent`)
+  uint64_t received = 0;
+
+  void Queue(uint64_t n) {
+    for (uint64_t i = 0; i < n; ++i) {
+      unsent += pair;
+    }
+    pairs += n;
+  }
+  // Sends what the kernel takes now; false on a socket error.
+  bool Flush() {
+    while (!unsent.empty()) {
+      const ssize_t n = send(fd, unsent.data(), unsent.size(), MSG_NOSIGNAL);
+      if (n < 0) {
+        return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
+      }
+      unsent.erase(0, static_cast<size_t>(n));
+    }
+    return true;
+  }
+  bool done() const { return received == pairs * unit.size(); }
+};
+
+std::string ValueResponse(const std::string& key, const std::string& value) {
+  return "VALUE " + key + " 0 " + std::to_string(value.size()) + "\r\n" +
+         value + "\r\nEND\r\n";
+}
+
+// Slow readers against a small output watermark. 44 connections each queue
+// a burst whose responses are four times the watermark; 4 more pipeline
+// 4 MiB of small gets (or until the server stops reading them): their
+// output fills the kernel, the parser blocks at the watermark, the input
+// buffer fills and reading pauses. 48 connections outnumber io_uring's 32
+// provided buffers, and paused connections hold theirs, so the uring backend
+// runs its pool dry (ENOBUFS), keeps paused bytes as holdover, and must
+// re-arm the starved receives as buffers return. Only then does every
+// client read. Nothing may be lost, reordered or closed — in particular a
+// resumed read that refills the whole input buffer before the parser runs
+// must pause again, not close (and free) the connection under the parser,
+// which on epoll needs the 4 MiB floods.
+TEST_P(CacheServerTest, SlowReadersGetEveryResponseInOrder) {
+  constexpr size_t kWatermark = 16 * 1024;
+  constexpr int kBurstConns = 44;
+  constexpr int kFloodConns = 4;
+  // Past the server's 1 MiB input buffer plus the requests whose responses
+  // fill a 4 MiB kernel send buffer (the Linux default maximum).
+  constexpr uint64_t kFloodBytes = 4 << 20;
+  ServerConfig config = SmallServerConfig(GetParam());
+  config.out_high_watermark = kWatermark;
+  CacheServer server(config);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  // Burst keys carry large values (few requests, many response bytes);
+  // flood keys small ones (many request bytes, so the input fills too).
+  const std::string big_a(1000, 'a'), big_b(1500, 'b');
+  const std::string small_c = "c", small_d = "dd";
+  {
+    TestClient setup(server.port());
+    ASSERT_TRUE(setup.connected());
+    setup.Send("set 1 0 0 1000\r\n" + big_a + "\r\nset 2 0 0 1500\r\n" +
+               big_b + "\r\nset 3 0 0 1\r\nc\r\nset 4 0 0 2\r\ndd\r\n");
+    setup.ReadUntil("STORED\r\nSTORED\r\nSTORED\r\nSTORED\r\n");
+  }
+
+  std::vector<SlowReader> readers(kBurstConns + kFloodConns);
+  for (size_t i = 0; i < readers.size(); ++i) {
+    SlowReader& r = readers[i];
+    r.fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(r.fd, 0);
+    // Small client buffers keep the kernel from absorbing the backlog.
+    const int small_buf = 16 * 1024;
+    setsockopt(r.fd, SOL_SOCKET, SO_RCVBUF, &small_buf, sizeof(small_buf));
+    setsockopt(r.fd, SOL_SOCKET, SO_SNDBUF, &small_buf, sizeof(small_buf));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server.port());
+    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    ASSERT_EQ(
+        connect(r.fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    fcntl(r.fd, F_SETFL, fcntl(r.fd, F_GETFL) | O_NONBLOCK);
+    if (static_cast<int>(i) < kBurstConns) {
+      r.pair = "get 1\r\nget 2\r\n";
+      r.unit = ValueResponse("1", big_a) + ValueResponse("2", big_b);
+    } else {
+      r.pair = "get 3\r\nget 4\r\n";
+      r.unit = ValueResponse("3", small_c) + ValueResponse("4", small_d);
+    }
+  }
+
+  // Write phase: nobody reads yet.
+  for (int i = 0; i < kBurstConns; ++i) {
+    SlowReader& r = readers[i];
+    r.Queue(4 * kWatermark / r.unit.size() + 1);
+    ASSERT_TRUE(r.Flush());
+  }
+  for (int i = kBurstConns; i < kBurstConns + kFloodConns; ++i) {
+    SlowReader& r = readers[i];
+    bool stalled = false;
+    while (!stalled && r.pairs * r.pair.size() < kFloodBytes) {
+      if (r.unsent.empty()) {
+        r.Queue(4096);
+      }
+      ASSERT_TRUE(r.Flush());
+      pollfd pfd{r.fd, POLLOUT, 0};
+      // Not writable for 100ms: the server has stopped reading.
+      stalled = !r.unsent.empty() && poll(&pfd, 1, 100) == 0;
+    }
+  }
+
+  // Read phase: drain every connection, finishing the unsent requests.
+  uint64_t keys = 0;
+  for (const SlowReader& r : readers) {
+    keys += 2 * r.pairs;
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  std::vector<char> buf(64 * 1024);
+  for (;;) {
+    std::vector<pollfd> pfds;
+    std::vector<SlowReader*> open;
+    for (SlowReader& r : readers) {
+      if (!r.done()) {
+        const short out = r.unsent.empty() ? 0 : POLLOUT;
+        pfds.push_back({r.fd, static_cast<short>(POLLIN | out), 0});
+        open.push_back(&r);
+      }
+    }
+    if (pfds.empty()) {
+      break;
+    }
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "responses stalled";
+    if (poll(pfds.data(), pfds.size(), 1000) <= 0) {
+      continue;
+    }
+    for (size_t i = 0; i < pfds.size(); ++i) {
+      SlowReader& r = *open[i];
+      if ((pfds[i].revents & POLLOUT) != 0) {
+        ASSERT_TRUE(r.Flush());
+      }
+      if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
+        continue;
+      }
+      const ssize_t n = recv(r.fd, buf.data(), buf.size(), 0);
+      if (n < 0 && (errno == EAGAIN || errno == EINTR)) {
+        continue;
+      }
+      ASSERT_GT(n, 0) << "server closed a slow reader after " << r.received
+                      << " of " << r.pairs * r.unit.size() << " bytes";
+      for (ssize_t k = 0; k < n; ++k, ++r.received) {
+        ASSERT_EQ(buf[k], r.unit[r.received % r.unit.size()])
+            << "response byte " << r.received << " out of order";
+      }
+      ASSERT_LE(r.received, r.pairs * r.unit.size()) << "extra response bytes";
+    }
+  }
+  for (SlowReader& r : readers) {
+    close(r.fd);
+  }
+  EXPECT_EQ(server.TotalStats().cmd_get, keys);
+  server.Stop();
+}
+
 // --- The tentpole acceptance check -----------------------------------------
 
 // Bit-exact parity: trace -> loadgen -> TCP -> parser -> per-connection
@@ -333,7 +603,6 @@ TEST_P(ServerSimulatorParityTest, HitCountsMatchSimulateBitExactly) {
   lg.threads = 1;
   lg.connections = 1;
   lg.pipeline_depth = 32;
-  lg.transport = GetParam();
   const LoadGenResult r = RunLoadGen(lg, trace);
   ASSERT_TRUE(r.ok) << r.error;
 

@@ -4,13 +4,14 @@
 Usage:
   check_server_smoke.py [SERVER_BIN] [LOADGEN_BIN]
 
-Runs the whole check once per transport backend (epoll, then io_uring).
-For each leg it starts s3fifo_server on an ephemeral port with
+Runs the whole check once per server transport backend (epoll, then
+io_uring). For each leg it starts s3fifo_server on an ephemeral port with
 --transport pinned, then:
   1. speaks the protocol directly over a socket: set/get round-trips the
      stored bytes, delete removes it, stats reports coherent counters;
-  2. runs a short closed-loop s3fifo_loadgen burst (same transport) and
-     checks every requested op completed with a plausible hit ratio;
+  2. runs a short closed-loop s3fifo_loadgen burst (the loadgen always runs
+     on epoll) and checks every requested op completed with a plausible
+     hit ratio;
   3. re-reads stats and checks the server counted at least the loadgen
      ops AND that the data-plane counters name the pinned transport;
   4. sends SIGINT and verifies a clean exit with a shutdown stats line.
@@ -134,8 +135,7 @@ def run_leg(server_bin, loadgen_bin, transport):
         ops = 50000
         load = subprocess.run(
             [loadgen_bin, "--port", str(port), "--connections", "4",
-             "--depth", "16", "--ops", str(ops), "--objects", "100000",
-             "--transport", transport],
+             "--depth", "16", "--ops", str(ops), "--objects", "100000"],
             capture_output=True,
             text=True,
             timeout=120,
@@ -151,9 +151,6 @@ def run_leg(server_bin, loadgen_bin, transport):
             fail(f"loadgen completed {done} of {ops} ops")
         if not 0.0 < hit_ratio < 1.0:
             fail(f"implausible hit ratio {hit_ratio}")
-        if f"transport={transport}" not in load.stdout:
-            fail(f"loadgen did not report transport={transport}: "
-                 f"{load.stdout!r}")
         print(f"server smoke: loadgen OK ({load.stdout.splitlines()[0]})")
 
         stats, text = read_stats(port)
