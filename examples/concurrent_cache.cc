@@ -4,13 +4,9 @@
 //   $ ./concurrent_cache [threads]   (default 4)
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
+#include <string>
 
-#include "src/concurrent/concurrent_clock.h"
-#include "src/concurrent/concurrent_lru.h"
-#include "src/concurrent/concurrent_s3fifo.h"
-#include "src/concurrent/concurrent_s3fifo_ring.h"
-#include "src/concurrent/concurrent_tinylfu.h"
+#include "src/concurrent/concurrent_cache.h"
 #include "src/concurrent/replay.h"
 
 int main(int argc, char** argv) {
@@ -32,18 +28,10 @@ int main(int argc, char** argv) {
               (unsigned long)options.num_objects, (unsigned long)config.capacity_objects);
   std::printf("%-16s %12s %10s\n", "cache", "Mops/s", "hit-ratio");
 
-  std::unique_ptr<ConcurrentCache> caches[] = {
-      std::make_unique<ConcurrentLruStrict>(config),
-      std::make_unique<ConcurrentLruOptimized>(config),
-      std::make_unique<ConcurrentClock>(config),
-      std::make_unique<ConcurrentTinyLfu>(config),
-      std::make_unique<ConcurrentS3Fifo>(config),
-      std::make_unique<ConcurrentS3FifoRing>(config),
-  };
-  for (auto& cache : caches) {
+  for (const std::string& name : ConcurrentCacheNames()) {
+    const auto cache = MakeConcurrentCache(name, config);
     const ReplayResult r = ReplayClosedLoop(*cache, options);
-    std::printf("%-16s %12.2f %10.4f\n", cache->Name().c_str(), r.throughput_mops,
-                r.hit_ratio);
+    std::printf("%-16s %12.2f %10.4f\n", name.c_str(), r.throughput_mops, r.hit_ratio);
   }
   return 0;
 }

@@ -9,16 +9,15 @@
 #define SRC_CONCURRENT_CONCURRENT_CACHE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
 namespace s3fifo {
 
 struct ConcurrentCacheConfig {
   uint64_t capacity_objects = 1 << 16;
   uint32_t value_size = 64;  // bytes materialised per on-demand-filled object
-  // Writer-lock shards inside each sub-cache's hash index (reads are
-  // lock-free and unaffected).
-  unsigned hash_shards = 64;
   // Sub-cache partitions: each owns an independent index, queues, ghost
   // state and eviction lock. Clamped against capacity (PickCacheShards);
   // 1 reproduces the unsharded seed semantics exactly.
@@ -91,6 +90,15 @@ class ConcurrentCache {
   virtual uint64_t ApproxSize() const = 0;
   virtual ConcurrentCacheStats Stats() const { return {}; }
 };
+
+// The prototypes MakeConcurrentCache builds, in the order the Fig. 8 bench
+// reports them: lru-strict, lru-optimized, clock, tinylfu, s3fifo.
+const std::vector<std::string>& ConcurrentCacheNames();
+
+// Builds the prototype whose Name() is `name`, with its default policy
+// parameters. Throws std::invalid_argument for any other name.
+std::unique_ptr<ConcurrentCache> MakeConcurrentCache(const std::string& name,
+                                                     const ConcurrentCacheConfig& config);
 
 }  // namespace s3fifo
 

@@ -1,72 +1,29 @@
 #include "src/concurrent/concurrent_clock.h"
 
-#include <algorithm>
-
 #include "src/concurrent/value_payload.h"
 
 namespace s3fifo {
 
 ConcurrentClock::ConcurrentClock(const ConcurrentCacheConfig& config)
-    : config_(config),
-      num_shards_(PickCacheShards(config.cache_shards, config.capacity_objects)) {
-  const unsigned index_shards = std::max(1u, config.hash_shards / num_shards_);
-  shards_.reserve(num_shards_);
-  for (unsigned i = 0; i < num_shards_; ++i) {
-    const uint64_t capacity = config.capacity_objects / num_shards_ +
-                              (i < config.capacity_objects % num_shards_ ? 1 : 0);
-    shards_.push_back(std::make_unique<Shard>(capacity, index_shards,
-                                              /*pending_capacity=*/256));
-  }
-}
-
-ConcurrentClock::~ConcurrentClock() {
-  for (auto& sp : shards_) {
-    Shard& s = *sp;
-    s.gate.WithLock([&s] {
-      Entry* e = nullptr;
-      while (s.gate.pending().TryPop(&e)) {
-        delete e;
-      }
-      while (Entry* x = s.list.PopBack()) {
-        delete x;
-      }
-    });
-  }
-}
-
-void ConcurrentClock::RetireEntry(Entry* e) {
-  EbrDomain::Instance().Retire(e, [](void* p) { delete static_cast<Entry*>(p); });
-}
+    : value_size_(config.value_size), core_(config) {}
 
 bool ConcurrentClock::Get(uint64_t id) {
-  Shard& s = ShardFor(id);
+  Shard& s = core_.ShardFor(id);
   EbrDomain::Guard guard;
   if (Entry* e = s.index.Find(id)) {
     // The whole hit path: one wait-free probe and one relaxed store.
     e->ref.store(1, std::memory_order_relaxed);
-    (void)ReadValuePayload(e->value.get(), config_.value_size);
-    hits_.Add(1);
+    (void)ReadValuePayload(e->value.get(), value_size_);
+    core_.CountHit();
     return true;
   }
 
   Entry* e = new Entry;
   e->id = id;
-  e->value = MakeValuePayload(id, config_.value_size);
-  if (!s.index.InsertIfAbsent(id, e)) {
-    delete e;
-    misses_.Add(1);
-    return false;
-  }
-  s.resident.fetch_add(1, std::memory_order_relaxed);
-  misses_.Add(1);
-
-  std::vector<Entry*> victims;
-  s.gate.Submit(e, [this, &s, &victims] { DrainLocked(s, victims); });
-  for (Entry* victim : victims) {
-    s.index.EraseIf(victim->id, [victim](Entry* v) { return v == victim; });
-    RetireEntry(victim);
-  }
-  return false;
+  e->value = MakeValuePayload(id, value_size_);
+  return core_.AdmitMiss(s, e, [this](Shard& sh, std::vector<Entry*>& victims) {
+    DrainLocked(sh, victims);
+  });
 }
 
 void ConcurrentClock::DrainLocked(Shard& s, std::vector<Entry*>& victims) {
@@ -89,18 +46,6 @@ void ConcurrentClock::DrainLocked(Shard& s, std::vector<Entry*>& victims) {
       victims.push_back(hand);
     }
   }
-}
-
-uint64_t ConcurrentClock::ApproxSize() const {
-  uint64_t total = 0;
-  for (const auto& s : shards_) {
-    total += s->resident.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-ConcurrentCacheStats ConcurrentClock::Stats() const {
-  return {static_cast<uint64_t>(hits_.Sum()), static_cast<uint64_t>(misses_.Sum())};
 }
 
 }  // namespace s3fifo

@@ -1,7 +1,5 @@
 #include "src/concurrent/concurrent_lru.h"
 
-#include <algorithm>
-
 #include "src/concurrent/value_payload.h"
 
 namespace s3fifo {
@@ -46,43 +44,13 @@ ConcurrentCacheStats ConcurrentLruStrict::Stats() const {
 
 ConcurrentLruOptimized::ConcurrentLruOptimized(const ConcurrentCacheConfig& config,
                                                uint64_t refresh_ops)
-    : config_(config),
-      refresh_ops_(refresh_ops),
-      num_shards_(PickCacheShards(config.cache_shards, config.capacity_objects)) {
-  const unsigned index_shards = std::max(1u, config.hash_shards / num_shards_);
-  shards_.reserve(num_shards_);
-  for (unsigned i = 0; i < num_shards_; ++i) {
-    const uint64_t capacity = config.capacity_objects / num_shards_ +
-                              (i < config.capacity_objects % num_shards_ ? 1 : 0);
-    shards_.push_back(std::make_unique<Shard>(capacity, index_shards,
-                                              /*pending_capacity=*/256));
-  }
-}
-
-ConcurrentLruOptimized::~ConcurrentLruOptimized() {
-  for (auto& sp : shards_) {
-    Shard& s = *sp;
-    s.gate.WithLock([&s] {
-      Entry* e = nullptr;
-      while (s.gate.pending().TryPop(&e)) {
-        delete e;
-      }
-      while (Entry* x = s.list.PopBack()) {
-        delete x;
-      }
-    });
-  }
-}
-
-void ConcurrentLruOptimized::RetireEntry(Entry* e) {
-  EbrDomain::Instance().Retire(e, [](void* p) { delete static_cast<Entry*>(p); });
-}
+    : value_size_(config.value_size), refresh_ops_(refresh_ops), core_(config) {}
 
 bool ConcurrentLruOptimized::Get(uint64_t id) {
-  Shard& s = ShardFor(id);
+  Shard& s = core_.ShardFor(id);
   EbrDomain::Guard guard;
   if (Entry* e = s.index.Find(id)) {
-    (void)ReadValuePayload(e->value.get(), config_.value_size);
+    (void)ReadValuePayload(e->value.get(), value_size_);
     // Delayed promotion: at most once per refresh_ops_ accesses to this
     // entry, and only if the list lock is immediately available (try-lock
     // promotion — skipped outright under contention).
@@ -94,28 +62,16 @@ bool ConcurrentLruOptimized::Get(uint64_t id) {
         }
       });
     }
-    hits_.Add(1);
+    core_.CountHit();
     return true;
   }
 
   Entry* e = new Entry;
   e->id = id;
-  e->value = MakeValuePayload(id, config_.value_size);
-  if (!s.index.InsertIfAbsent(id, e)) {
-    delete e;  // another thread admitted this id concurrently
-    misses_.Add(1);
-    return false;
-  }
-  s.resident.fetch_add(1, std::memory_order_relaxed);
-  misses_.Add(1);
-
-  std::vector<Entry*> victims;
-  s.gate.Submit(e, [this, &s, &victims] { DrainLocked(s, victims); });
-  for (Entry* victim : victims) {
-    s.index.EraseIf(victim->id, [victim](Entry* v) { return v == victim; });
-    RetireEntry(victim);
-  }
-  return false;
+  e->value = MakeValuePayload(id, value_size_);
+  return core_.AdmitMiss(s, e, [this](Shard& sh, std::vector<Entry*>& victims) {
+    DrainLocked(sh, victims);
+  });
 }
 
 void ConcurrentLruOptimized::DrainLocked(Shard& s, std::vector<Entry*>& victims) {
@@ -134,18 +90,6 @@ void ConcurrentLruOptimized::DrainLocked(Shard& s, std::vector<Entry*>& victims)
       victims.push_back(victim);
     }
   }
-}
-
-uint64_t ConcurrentLruOptimized::ApproxSize() const {
-  uint64_t total = 0;
-  for (const auto& s : shards_) {
-    total += s->resident.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-ConcurrentCacheStats ConcurrentLruOptimized::Stats() const {
-  return {static_cast<uint64_t>(hits_.Sum()), static_cast<uint64_t>(misses_.Sum())};
 }
 
 }  // namespace s3fifo

@@ -12,6 +12,7 @@
 #ifndef SRC_CONCURRENT_CONCURRENT_LRU_H_
 #define SRC_CONCURRENT_CONCURRENT_LRU_H_
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -19,9 +20,7 @@
 #include <vector>
 
 #include "src/concurrent/concurrent_cache.h"
-#include "src/concurrent/lockfree_hash_map.h"
 #include "src/concurrent/sharded_cache.h"
-#include "src/concurrent/striped_counter.h"
 #include "src/util/intrusive_list.h"
 
 namespace s3fifo {
@@ -55,12 +54,11 @@ class ConcurrentLruOptimized : public ConcurrentCache {
  public:
   explicit ConcurrentLruOptimized(const ConcurrentCacheConfig& config,
                                   uint64_t refresh_ops = 16);
-  ~ConcurrentLruOptimized() override;
 
   bool Get(uint64_t id) override;
   std::string Name() const override { return "lru-optimized"; }
-  uint64_t ApproxSize() const override;
-  ConcurrentCacheStats Stats() const override;
+  uint64_t ApproxSize() const override { return core_.ApproxSize(); }
+  ConcurrentCacheStats Stats() const override { return core_.Stats(); }
 
  private:
   struct Entry {
@@ -73,28 +71,19 @@ class ConcurrentLruOptimized : public ConcurrentCache {
   };
   using Queue = IntrusiveList<Entry, &Entry::hook>;
 
-  struct alignas(64) Shard {
-    Shard(uint64_t capacity, unsigned index_shards, uint64_t pending_capacity)
-        : capacity_objects(capacity), index(capacity, index_shards), gate(pending_capacity) {}
+  struct alignas(64) Shard : ShardBase<Entry> {
+    using ShardBase::ShardBase;
+    std::array<Queue*, 1> queues() { return {&list}; }
 
-    const uint64_t capacity_objects;
-    LockFreeHashMap<Entry*> index;
-    EvictionGate<Entry*> gate;
     Queue list;  // guarded by the gate lock; back = least recently used
     uint64_t linked = 0;
-    std::atomic<uint64_t> resident{0};
   };
 
-  Shard& ShardFor(uint64_t id) { return *shards_[CacheShardFor(id, num_shards_)]; }
   void DrainLocked(Shard& s, std::vector<Entry*>& victims);
-  static void RetireEntry(Entry* e);
 
-  const ConcurrentCacheConfig config_;
+  const uint32_t value_size_;
   const uint64_t refresh_ops_;
-  unsigned num_shards_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  StripedCounter hits_;
-  StripedCounter misses_;
+  ShardedCore<Shard> core_;
 };
 
 }  // namespace s3fifo

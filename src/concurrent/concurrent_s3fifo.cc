@@ -38,47 +38,14 @@ ConcurrentS3Fifo::Entry::~Entry() { FreeBuf(value.load(std::memory_order_relaxed
 
 ConcurrentS3Fifo::ConcurrentS3Fifo(const ConcurrentCacheConfig& config, double small_ratio,
                                    uint32_t move_threshold, uint32_t max_freq)
-    : config_(config),
+    : value_size_(config.value_size),
       move_threshold_(move_threshold),
       max_freq_(max_freq),
-      num_shards_(PickCacheShards(config.cache_shards, config.capacity_objects)) {
-  const unsigned index_shards = std::max(1u, config.hash_shards / num_shards_);
-  shards_.reserve(num_shards_);
-  for (unsigned i = 0; i < num_shards_; ++i) {
-    const uint64_t capacity = config.capacity_objects / num_shards_ +
-                              (i < config.capacity_objects % num_shards_ ? 1 : 0);
-    const uint64_t small_target = std::max<uint64_t>(
-        static_cast<uint64_t>(capacity * small_ratio), 1);
-    shards_.push_back(std::make_unique<Shard>(capacity, small_target, index_shards,
-                                              /*pending_capacity=*/256));
-  }
-}
-
-ConcurrentS3Fifo::~ConcurrentS3Fifo() {
-  for (auto& sp : shards_) {
-    Shard& s = *sp;
-    s.gate.WithLock([&s] {
-      Entry* e = nullptr;
-      while (s.gate.pending().TryPop(&e)) {
-        delete e;
-      }
-      while (Entry* x = s.small.PopBack()) {
-        delete x;
-      }
-      while (Entry* x = s.main.PopBack()) {
-        delete x;
-      }
-    });
-  }
-}
-
-void ConcurrentS3Fifo::RetireEntry(Entry* e) {
-  EbrDomain::Instance().Retire(e, [](void* p) { delete static_cast<Entry*>(p); });
-}
+      core_(config, small_ratio) {}
 
 bool ConcurrentS3Fifo::AccessPinned(uint64_t id, const char* set_data, uint32_t set_size,
                                     uint32_t batch_index, ValueSink* sink) {
-  Shard& s = ShardFor(id);
+  Shard& s = core_.ShardFor(id);
   if (Entry* e = s.index.Find(id)) {
     // Lock-free hit path: capped increment; popular objects (freq already at
     // the cap) need no store at all (§4.3.1).
@@ -99,30 +66,17 @@ bool ConcurrentS3Fifo::AccessPinned(uint64_t id, const char* set_data, uint32_t 
         (void)ReadValuePayload(v->data, v->size);
       }
     }
-    hits_.Add(1);
+    core_.CountHit();
     return true;
   }
 
   Entry* e = new Entry;
   e->id = id;
-  e->value.store(set_data != nullptr ? MakeBuf(set_data, set_size)
-                                     : MakeFillBuf(id, config_.value_size),
+  e->value.store(set_data != nullptr ? MakeBuf(set_data, set_size) : MakeFillBuf(id, value_size_),
                  std::memory_order_relaxed);
-  if (!s.index.InsertIfAbsent(id, e)) {
-    delete e;  // another thread admitted this id concurrently
-    misses_.Add(1);
-    return false;
-  }
-  s.resident.fetch_add(1, std::memory_order_relaxed);
-  misses_.Add(1);
-
-  std::vector<Entry*> victims;
-  s.gate.Submit(e, [this, &s, &victims] { DrainLocked(s, victims); });
-  for (Entry* victim : victims) {
-    s.index.EraseIf(victim->id, [victim](Entry* v) { return v == victim; });
-    RetireEntry(victim);
-  }
-  return false;
+  return core_.AdmitMiss(s, e, [this](Shard& sh, std::vector<Entry*>& victims) {
+    DrainLocked(sh, victims);
+  });
 }
 
 bool ConcurrentS3Fifo::Get(uint64_t id) {
@@ -136,7 +90,7 @@ void ConcurrentS3Fifo::GetBatch(const uint64_t* ids, uint32_t count, uint8_t* hi
   for (uint32_t i = 0; i < count; ++i) {
     if (i + kBatchPrefetch < count) {
       const uint64_t ahead = ids[i + kBatchPrefetch];
-      ShardFor(ahead).index.Prefetch(ahead);
+      core_.ShardFor(ahead).index.Prefetch(ahead);
     }
     hits[i] = AccessPinned(ids[i], nullptr, 0, i, sink) ? 1 : 0;
   }
@@ -150,7 +104,7 @@ bool ConcurrentS3Fifo::Set(uint64_t id, const char* data, uint32_t size) {
 }
 
 bool ConcurrentS3Fifo::Delete(uint64_t id) {
-  Shard& s = ShardFor(id);
+  Shard& s = core_.ShardFor(id);
   EbrDomain::Guard guard;
   Entry* e = s.index.Find(id);
   if (e == nullptr) {
@@ -180,7 +134,7 @@ bool ConcurrentS3Fifo::Delete(uint64_t id) {
   });
   if (unlinked) {
     s.resident.fetch_sub(1, std::memory_order_relaxed);
-    RetireEntry(e);
+    core_.Retire(e);
   }
   return true;
 }
@@ -195,7 +149,7 @@ void ConcurrentS3Fifo::DrainLocked(Shard& s, std::vector<Entry*>& victims) {
     if (e->dead) {
       // Deleted before it was ever linked; it is already unpublished.
       s.resident.fetch_sub(1, std::memory_order_relaxed);
-      RetireEntry(e);
+      core_.Retire(e);
       continue;
     }
     while (s.small_count + s.main_count >= s.capacity_objects) {
@@ -262,18 +216,6 @@ void ConcurrentS3Fifo::EvictFromMain(Shard& s, std::vector<Entry*>& victims) {
       return;
     }
   }
-}
-
-uint64_t ConcurrentS3Fifo::ApproxSize() const {
-  uint64_t total = 0;
-  for (const auto& s : shards_) {
-    total += s->resident.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-ConcurrentCacheStats ConcurrentS3Fifo::Stats() const {
-  return {static_cast<uint64_t>(hits_.Sum()), static_cast<uint64_t>(misses_.Sum())};
 }
 
 }  // namespace s3fifo

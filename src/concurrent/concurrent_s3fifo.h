@@ -18,14 +18,13 @@
 #ifndef SRC_CONCURRENT_CONCURRENT_S3FIFO_H_
 #define SRC_CONCURRENT_CONCURRENT_S3FIFO_H_
 
+#include <algorithm>
+#include <array>
 #include <atomic>
-#include <memory>
 #include <vector>
 
 #include "src/concurrent/concurrent_cache.h"
-#include "src/concurrent/lockfree_hash_map.h"
 #include "src/concurrent/sharded_cache.h"
-#include "src/concurrent/striped_counter.h"
 #include "src/util/ghost_table.h"
 #include "src/util/intrusive_list.h"
 
@@ -35,7 +34,6 @@ class ConcurrentS3Fifo : public ConcurrentCache {
  public:
   explicit ConcurrentS3Fifo(const ConcurrentCacheConfig& config, double small_ratio = 0.1,
                             uint32_t move_threshold = 2, uint32_t max_freq = 3);
-  ~ConcurrentS3Fifo() override;
 
   bool Get(uint64_t id) override;
   // Software-pipelined batch: one EBR pin for the whole block, index slots
@@ -54,8 +52,8 @@ class ConcurrentS3Fifo : public ConcurrentCache {
   // explicit-delete semantics.
   bool Delete(uint64_t id) override;
   std::string Name() const override { return "s3fifo"; }
-  uint64_t ApproxSize() const override;
-  ConcurrentCacheStats Stats() const override;
+  uint64_t ApproxSize() const override { return core_.ApproxSize(); }
+  ConcurrentCacheStats Stats() const override { return core_.Stats(); }
 
  private:
   // Heap block holding one value; entries point at it through an atomic so
@@ -80,29 +78,20 @@ class ConcurrentS3Fifo : public ConcurrentCache {
   };
   using Queue = IntrusiveList<Entry, &Entry::hook>;
 
-  struct alignas(64) Shard {
-    Shard(uint64_t capacity, uint64_t small_target, unsigned index_shards,
-          uint64_t pending_capacity)
-        : capacity_objects(capacity),
-          small_target(small_target),
-          index(capacity, index_shards),
-          gate(pending_capacity),
+  struct alignas(64) Shard : ShardBase<Entry> {
+    Shard(uint64_t capacity, unsigned index_shards, double small_ratio)
+        : ShardBase(capacity, index_shards),
+          small_target(std::max<uint64_t>(static_cast<uint64_t>(capacity * small_ratio), 1)),
           ghost(std::max<uint64_t>(capacity - small_target, 1)) {}
+    std::array<Queue*, 2> queues() { return {&small, &main}; }
 
-    const uint64_t capacity_objects;
     const uint64_t small_target;
-    LockFreeHashMap<Entry*> index;
-    EvictionGate<Entry*> gate;
     // Everything below is guarded by the gate lock.
     Queue small, main;
     uint64_t small_count = 0;
     uint64_t main_count = 0;
     GhostTable ghost;
-    // Published entries (linked + still pending); aggregated by ApproxSize.
-    std::atomic<uint64_t> resident{0};
   };
-
-  Shard& ShardFor(uint64_t id) { return *shards_[CacheShardFor(id, num_shards_)]; }
 
   // One request, caller already pinned (EBR guard held). `set_data` non-null
   // makes it a `set` (value stored/replaced); null is an on-demand-fill get.
@@ -115,15 +104,10 @@ class ConcurrentS3Fifo : public ConcurrentCache {
   void EvictFromSmall(Shard& s, std::vector<Entry*>& victims);
   void EvictFromMain(Shard& s, std::vector<Entry*>& victims);
 
-  static void RetireEntry(Entry* e);
-
-  const ConcurrentCacheConfig config_;
+  const uint32_t value_size_;
   const uint32_t move_threshold_;
   const uint32_t max_freq_;
-  unsigned num_shards_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  StripedCounter hits_;
-  StripedCounter misses_;
+  ShardedCore<Shard> core_;
 };
 
 }  // namespace s3fifo

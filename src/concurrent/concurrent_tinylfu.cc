@@ -21,50 +21,21 @@ uint64_t NextPow2(uint64_t x) {
 
 }  // namespace
 
+ConcurrentTinyLfu::Shard::Shard(uint64_t capacity, unsigned index_shards, double window_ratio)
+    : ShardBase(capacity, index_shards) {
+  window_capacity = std::max<uint64_t>(static_cast<uint64_t>(capacity * window_ratio), 1);
+  const uint64_t main_capacity = std::max<uint64_t>(capacity - window_capacity, 2);
+  probation_capacity = std::max<uint64_t>(main_capacity / 5, 1);
+  protected_capacity = std::max<uint64_t>(main_capacity - probation_capacity, 1);
+}
+
 ConcurrentTinyLfu::ConcurrentTinyLfu(const ConcurrentCacheConfig& config, double window_ratio)
-    : config_(config),
-      num_shards_(PickCacheShards(config.cache_shards, config.capacity_objects)),
-      sketch_(NextPow2(std::max<uint64_t>(config.capacity_objects * 4, 64)) * 4) {
+    : value_size_(config.value_size),
+      sketch_(NextPow2(std::max<uint64_t>(config.capacity_objects * 4, 64)) * 4),
+      core_(config, window_ratio) {
   sketch_mask_ = sketch_.size() / 4 - 1;
   sample_period_ = std::max<uint64_t>(config.capacity_objects * 10, 64);
   next_age_at_.store(sample_period_, std::memory_order_relaxed);
-
-  const unsigned index_shards = std::max(1u, config.hash_shards / num_shards_);
-  shards_.reserve(num_shards_);
-  for (unsigned i = 0; i < num_shards_; ++i) {
-    const uint64_t capacity = config.capacity_objects / num_shards_ +
-                              (i < config.capacity_objects % num_shards_ ? 1 : 0);
-    const uint64_t window_capacity = std::max<uint64_t>(
-        static_cast<uint64_t>(capacity * window_ratio), 1);
-    const uint64_t main_capacity = std::max<uint64_t>(capacity - window_capacity, 2);
-    const uint64_t probation_capacity = std::max<uint64_t>(main_capacity / 5, 1);
-    const uint64_t protected_capacity =
-        std::max<uint64_t>(main_capacity - probation_capacity, 1);
-    shards_.push_back(std::make_unique<Shard>(window_capacity, probation_capacity,
-                                              protected_capacity, capacity, index_shards,
-                                              /*pending_capacity=*/256));
-  }
-}
-
-ConcurrentTinyLfu::~ConcurrentTinyLfu() {
-  for (auto& sp : shards_) {
-    Shard& s = *sp;
-    s.gate.WithLock([&s] {
-      Entry* e = nullptr;
-      while (s.gate.pending().TryPop(&e)) {
-        delete e;
-      }
-      for (Queue* q : {&s.window, &s.probation, &s.protected_q}) {
-        while (Entry* x = q->PopBack()) {
-          delete x;
-        }
-      }
-    });
-  }
-}
-
-void ConcurrentTinyLfu::RetireEntry(Entry* e) {
-  EbrDomain::Instance().Retire(e, [](void* p) { delete static_cast<Entry*>(p); });
 }
 
 void ConcurrentTinyLfu::SketchIncrement(uint64_t id) {
@@ -110,10 +81,10 @@ uint32_t ConcurrentTinyLfu::SketchEstimate(uint64_t id) const {
 bool ConcurrentTinyLfu::Get(uint64_t id) {
   SketchIncrement(id);
 
-  Shard& s = ShardFor(id);
+  Shard& s = core_.ShardFor(id);
   EbrDomain::Guard guard;
   if (Entry* e = s.index.Find(id)) {
-    (void)ReadValuePayload(e->value.get(), config_.value_size);
+    (void)ReadValuePayload(e->value.get(), value_size_);
     // Hits need the list lock for SLRU promotions — the cost the paper calls
     // out; sharding shrinks the critical section's scope but not its nature.
     s.gate.WithLock([this, &s, e] {
@@ -121,28 +92,16 @@ bool ConcurrentTinyLfu::Get(uint64_t id) {
         PromoteLocked(s, e);
       }
     });
-    hits_.Add(1);
+    core_.CountHit();
     return true;
   }
 
   Entry* e = new Entry;
   e->id = id;
-  e->value = MakeValuePayload(id, config_.value_size);
-  if (!s.index.InsertIfAbsent(id, e)) {
-    delete e;
-    misses_.Add(1);
-    return false;
-  }
-  s.resident.fetch_add(1, std::memory_order_relaxed);
-  misses_.Add(1);
-
-  std::vector<Entry*> victims;
-  s.gate.Submit(e, [this, &s, &victims] { DrainLocked(s, victims); });
-  for (Entry* victim : victims) {
-    s.index.EraseIf(victim->id, [victim](Entry* v) { return v == victim; });
-    RetireEntry(victim);
-  }
-  return false;
+  e->value = MakeValuePayload(id, value_size_);
+  return core_.AdmitMiss(s, e, [this](Shard& sh, std::vector<Entry*>& victims) {
+    DrainLocked(sh, victims);
+  });
 }
 
 void ConcurrentTinyLfu::PromoteLocked(Shard& s, Entry* e) {
@@ -225,18 +184,6 @@ void ConcurrentTinyLfu::HandleOverflowLocked(Shard& s, std::vector<Entry*>& vict
       victims.push_back(candidate);
     }
   }
-}
-
-uint64_t ConcurrentTinyLfu::ApproxSize() const {
-  uint64_t total = 0;
-  for (const auto& s : shards_) {
-    total += s->resident.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-ConcurrentCacheStats ConcurrentTinyLfu::Stats() const {
-  return {static_cast<uint64_t>(hits_.Sum()), static_cast<uint64_t>(misses_.Sum())};
 }
 
 }  // namespace s3fifo

@@ -9,13 +9,12 @@
 #ifndef SRC_CONCURRENT_CONCURRENT_TINYLFU_H_
 #define SRC_CONCURRENT_CONCURRENT_TINYLFU_H_
 
+#include <array>
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "src/concurrent/concurrent_cache.h"
-#include "src/concurrent/lockfree_hash_map.h"
 #include "src/concurrent/sharded_cache.h"
 #include "src/concurrent/striped_counter.h"
 #include "src/util/intrusive_list.h"
@@ -25,12 +24,11 @@ namespace s3fifo {
 class ConcurrentTinyLfu : public ConcurrentCache {
  public:
   explicit ConcurrentTinyLfu(const ConcurrentCacheConfig& config, double window_ratio = 0.01);
-  ~ConcurrentTinyLfu() override;
 
   bool Get(uint64_t id) override;
   std::string Name() const override { return "tinylfu"; }
-  uint64_t ApproxSize() const override;
-  ConcurrentCacheStats Stats() const override;
+  uint64_t ApproxSize() const override { return core_.ApproxSize(); }
+  ConcurrentCacheStats Stats() const override { return core_.Stats(); }
 
  private:
   enum class Where : uint8_t { kWindow, kProbation, kProtected };
@@ -43,38 +41,25 @@ class ConcurrentTinyLfu : public ConcurrentCache {
   };
   using Queue = IntrusiveList<Entry, &Entry::hook>;
 
-  struct alignas(64) Shard {
-    Shard(uint64_t window_capacity, uint64_t probation_capacity, uint64_t protected_capacity,
-          uint64_t index_capacity, unsigned index_shards, uint64_t pending_capacity)
-        : window_capacity(window_capacity),
-          probation_capacity(probation_capacity),
-          protected_capacity(protected_capacity),
-          index(index_capacity, index_shards),
-          gate(pending_capacity) {}
+  struct alignas(64) Shard : ShardBase<Entry> {
+    Shard(uint64_t capacity, unsigned index_shards, double window_ratio);
+    std::array<Queue*, 3> queues() { return {&window, &probation, &protected_q}; }
 
-    const uint64_t window_capacity;
-    const uint64_t probation_capacity;
-    const uint64_t protected_capacity;
-    LockFreeHashMap<Entry*> index;
-    EvictionGate<Entry*> gate;
+    uint64_t window_capacity;
+    uint64_t probation_capacity;
+    uint64_t protected_capacity;
     // Everything below is guarded by the gate lock.
     Queue window, probation, protected_q;
     uint64_t window_count = 0, probation_count = 0, protected_count = 0;
-    std::atomic<uint64_t> resident{0};
   };
-
-  Shard& ShardFor(uint64_t id) { return *shards_[CacheShardFor(id, num_shards_)]; }
 
   void SketchIncrement(uint64_t id);
   uint32_t SketchEstimate(uint64_t id) const;
   void PromoteLocked(Shard& s, Entry* e);
   void DrainLocked(Shard& s, std::vector<Entry*>& victims);
   void HandleOverflowLocked(Shard& s, std::vector<Entry*>& victims);
-  static void RetireEntry(Entry* e);
 
-  const ConcurrentCacheConfig config_;
-  unsigned num_shards_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const uint32_t value_size_;
 
   // Plain atomic-counter count-min sketch (4 rows), shared by all shards so
   // frequency estimates see the full access stream.
@@ -84,8 +69,7 @@ class ConcurrentTinyLfu : public ConcurrentCache {
   std::atomic<uint64_t> next_age_at_;
   uint64_t sample_period_;
 
-  StripedCounter hits_;
-  StripedCounter misses_;
+  ShardedCore<Shard> core_;
 };
 
 }  // namespace s3fifo

@@ -31,24 +31,12 @@ ReplayResult ReplayClosedLoop(ConcurrentCache& cache, const ReplayOptions& optio
         std::this_thread::yield();
       }
       uint64_t hits = 0;
-      if (options.batch_size == 0) {
-        // Scalar reference loop: one virtual call per request.
-        for (uint64_t i = 0; i < options.requests_per_thread; ++i) {
-          if (cache.Get(zipf.Sample(rng))) {
-            ++hits;
-          }
-        }
-        total_hits.fetch_add(hits, std::memory_order_relaxed);
-        return;
-      }
-      const uint32_t batch = options.batch_size;
-      std::vector<uint64_t> ids(batch);
-      std::vector<uint8_t> hit_bits(batch);
+      std::vector<uint64_t> ids(kReplayBatch);
+      std::vector<uint8_t> hit_bits(kReplayBatch);
       LatencyHistogram local;
       uint64_t remaining = options.requests_per_thread;
       while (remaining > 0) {
-        const uint32_t n = static_cast<uint32_t>(
-            std::min<uint64_t>(batch, remaining));
+        const uint32_t n = static_cast<uint32_t>(std::min<uint64_t>(kReplayBatch, remaining));
         for (uint32_t i = 0; i < n; ++i) {
           ids[i] = zipf.Sample(rng);
         }

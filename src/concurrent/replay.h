@@ -4,7 +4,7 @@
 // pre-generated data; throughput is aggregated over all threads.
 //
 // Requests are routed through ConcurrentCache::GetBatch in blocks of
-// `batch_size` — the same software-pipelined path the network front end
+// kReplayBatch — the same software-pipelined path the network front end
 // (src/server/) drives per connection — and each batch's wall time is
 // recorded into a per-thread LatencyHistogram (as per-request service time:
 // batch nanoseconds / batch size), merged into ReplayResult::latency.
@@ -18,15 +18,15 @@
 
 namespace s3fifo {
 
+// Requests per GetBatch call.
+inline constexpr uint32_t kReplayBatch = 64;
+
 struct ReplayOptions {
   unsigned num_threads = 1;
   uint64_t requests_per_thread = 1000000;
   uint64_t num_objects = 1 << 20;  // Zipf universe
   double zipf_alpha = 1.0;
   uint64_t seed = 7;
-  // Requests per GetBatch call. 0 = the scalar reference loop (one Get per
-  // request, no latency recording). Results are bit-identical either way.
-  uint32_t batch_size = 64;
 };
 
 struct ReplayResult {
@@ -35,7 +35,7 @@ struct ReplayResult {
   double elapsed_seconds = 0.0;
   uint64_t total_requests = 0;
   // Per-request service time in nanoseconds, sampled at batch granularity
-  // and merged across threads. Empty when batch_size == 0.
+  // and merged across threads.
   LatencyHistogram latency;
 };
 

@@ -1,18 +1,33 @@
-// Building blocks for the sharded concurrent prototypes: every cache is
+// The skeleton every sharded concurrent prototype is built on: the cache is
 // hash-partitioned into independent sub-caches (each with its own index,
 // queues, ghost state and eviction lock), and each sub-cache's miss-path
 // mutations go through a try-lock-and-delegate EvictionGate so no thread
-// ever blocks on another shard-mate's eviction.
+// ever blocks on another shard-mate's eviction. A prototype supplies only
+// its Entry, its Shard's queues, its hit path and its DrainLocked; the
+// capacity split, the miss tail, teardown and the counters live here.
 #ifndef SRC_CONCURRENT_SHARDED_CACHE_H_
 #define SRC_CONCURRENT_SHARDED_CACHE_H_
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
+#include <vector>
 
+#include "src/concurrent/concurrent_cache.h"
+#include "src/concurrent/ebr.h"
+#include "src/concurrent/lockfree_hash_map.h"
 #include "src/concurrent/mpmc_queue.h"
+#include "src/concurrent/striped_counter.h"
 #include "src/util/hash.h"
 
 namespace s3fifo {
+
+// Writer-lock shards of the hash index, split across the sub-caches: each
+// sub-cache's index gets max(1, kIndexLockShards / num_shards) of them.
+// Reads are lock-free and unaffected.
+inline constexpr unsigned kIndexLockShards = 64;
 
 // How many sub-caches to create: the requested count, clamped so each shard
 // keeps a meaningful population (tiny test caches degenerate to one shard,
@@ -88,6 +103,119 @@ class EvictionGate {
  private:
   std::mutex mu_;
   MpmcQueue<Work> pending_;
+};
+
+// The members every sub-cache has. A prototype's Shard derives from this,
+// adds its queues (guarded by the gate lock), takes (capacity, index_shards,
+// prototype args...) in its constructor, and lists its queues in queues()
+// so ShardedCore can free what they hold at teardown.
+template <typename EntryT>
+struct ShardBase {
+  using Entry = EntryT;
+  static constexpr uint64_t kPendingWork = 256;  // gate ring slots
+
+  ShardBase(uint64_t capacity, unsigned index_shards)
+      : capacity_objects(capacity), index(capacity, index_shards), gate(kPendingWork) {}
+
+  const uint64_t capacity_objects;
+  LockFreeHashMap<Entry*> index;
+  EvictionGate<Entry*> gate;
+  // Published entries (linked + still pending); aggregated by ApproxSize.
+  std::atomic<uint64_t> resident{0};
+};
+
+// The sub-caches of one prototype plus its request counters. Entries must
+// carry `id` and be freed with `delete`; the prototype's DrainLocked is
+// passed to AdmitMiss as a lambda, so every call inlines.
+template <typename Shard>
+class ShardedCore {
+ public:
+  using Entry = typename Shard::Entry;
+
+  // Splits config.capacity_objects across the sub-caches (the first
+  // capacity % n shards take one extra object); `args` go to every Shard.
+  template <typename... Args>
+  ShardedCore(const ConcurrentCacheConfig& config, const Args&... args)
+      : num_shards_(PickCacheShards(config.cache_shards, config.capacity_objects)) {
+    const unsigned index_shards = std::max(1u, kIndexLockShards / num_shards_);
+    shards_.reserve(num_shards_);
+    for (unsigned i = 0; i < num_shards_; ++i) {
+      const uint64_t capacity = config.capacity_objects / num_shards_ +
+                                (i < config.capacity_objects % num_shards_ ? 1 : 0);
+      shards_.push_back(std::make_unique<Shard>(capacity, index_shards, args...));
+    }
+  }
+
+  // Frees the entries still pending in each gate ring, then those on the
+  // shard's queues. Entries already retired belong to the EBR domain.
+  ~ShardedCore() {
+    for (auto& sp : shards_) {
+      Shard& s = *sp;
+      s.gate.WithLock([&s] {
+        Entry* e = nullptr;
+        while (s.gate.pending().TryPop(&e)) {
+          delete e;
+        }
+        for (auto* q : s.queues()) {
+          while (Entry* x = q->PopBack()) {
+            delete x;
+          }
+        }
+      });
+    }
+  }
+
+  ShardedCore(const ShardedCore&) = delete;
+  ShardedCore& operator=(const ShardedCore&) = delete;
+
+  Shard& ShardFor(uint64_t id) { return *shards_[CacheShardFor(id, num_shards_)]; }
+
+  // The miss tail: publishes `e` (a fresh entry for a missed id) in `s`'s
+  // index, counts the miss, submits the entry through the gate, where
+  // drain(s, victims) links it and evicts under the lock, then unpublishes
+  // and EBR-retires the victims. Returns false, the outcome of a miss. If
+  // another thread admitted the id first, `e` is freed instead.
+  template <typename DrainFn>
+  bool AdmitMiss(Shard& s, Entry* e, DrainFn&& drain) {
+    misses_.Add(1);
+    if (!s.index.InsertIfAbsent(e->id, e)) {
+      delete e;
+      return false;
+    }
+    s.resident.fetch_add(1, std::memory_order_relaxed);
+    std::vector<Entry*> victims;
+    s.gate.Submit(e, [&s, &victims, &drain] { drain(s, victims); });
+    for (Entry* victim : victims) {
+      s.index.EraseIf(victim->id, [victim](Entry* v) { return v == victim; });
+      Retire(victim);
+    }
+    return false;
+  }
+
+  // Frees `e` once no pinned reader can still hold it.
+  static void Retire(Entry* e) {
+    EbrDomain::Instance().Retire(e, [](void* p) { delete static_cast<Entry*>(p); });
+  }
+
+  uint64_t ApproxSize() const {
+    uint64_t total = 0;
+    for (const auto& s : shards_) {
+      total += s->resident.load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+
+  void CountHit() { hits_.Add(1); }
+
+  ConcurrentCacheStats Stats() const {
+    return {static_cast<uint64_t>(hits_.Sum()), static_cast<uint64_t>(misses_.Sum())};
+  }
+
+ private:
+  unsigned num_shards_;
+  std::vector<std::unique_ptr<Shard>> shards_;
+  StripedCounter hits_;
+  StripedCounter misses_;
 };
 
 }  // namespace s3fifo

@@ -46,7 +46,7 @@ struct ArenaSink final : public ValueSink {
 
 struct Connection {
   Transport::Conn* tconn = nullptr;
-  RingBuffer in;
+  RingBuffer in{16 * 1024, kConnInputBytes};
   std::vector<char> out;  // response bytes not yet handed to the transport
   bool want_close = false;     // close once everything queued has drained
   bool parse_blocked = false;  // backpressure: unsent output above watermark
@@ -427,6 +427,11 @@ bool CacheServer::BindListener(Worker& w, std::string* error) {
   setsockopt(w.listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   if (setsockopt(w.listen_fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
     return fail("setsockopt(SO_REUSEPORT)");
+  }
+  // Before listen(), so the window scale offered in the SYN-ACK matches.
+  if (setsockopt(w.listen_fd, SOL_SOCKET, SO_RCVBUF, &kListenerRcvBufBytes,
+                 sizeof(kListenerRcvBufBytes)) != 0) {
+    return fail("setsockopt(SO_RCVBUF)");
   }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;

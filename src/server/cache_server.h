@@ -38,9 +38,20 @@
 #include <vector>
 
 #include "src/concurrent/concurrent_cache.h"
+#include "src/server/protocol.h"
 #include "src/server/transport.h"
 
 namespace s3fifo {
+
+// Input one connection can park in the server before it stops reading. The
+// parser's buffer holds kConnInputBytes: the largest value body plus 64 KiB
+// of command lines. Behind it sits the socket's kernel receive buffer;
+// accepted sockets inherit SO_RCVBUF from their listener, which sets it to an
+// eighth of the parser's buffer (the kernel doubles the value for its own
+// bookkeeping). Left unset, the kernel autotunes it up to tcp_rmem's
+// maximum, tens of MB, for a client that pipelines without reading.
+inline constexpr size_t kConnInputBytes = kMaxValueBytes + 64 * 1024;
+inline constexpr int kListenerRcvBufBytes = static_cast<int>(kConnInputBytes / 8);
 
 struct ServerConfig {
   std::string host = "127.0.0.1";

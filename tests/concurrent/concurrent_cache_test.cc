@@ -1,18 +1,18 @@
-// Correctness of the four concurrent caches: single-thread semantics plus
+// Correctness of the concurrent caches: single-thread semantics plus
 // multi-thread stress (bounded occupancy, no crashes, sane hit counting).
+// The parameterized suite runs every name MakeConcurrentCache accepts.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/concurrent/concurrent_cache.h"
 #include "src/concurrent/concurrent_clock.h"
-#include "src/concurrent/concurrent_lru.h"
 #include "src/concurrent/concurrent_s3fifo.h"
-#include "src/concurrent/concurrent_s3fifo_ring.h"
-#include "src/concurrent/concurrent_tinylfu.h"
 #include "src/core/cache_factory.h"
 #include "src/util/rng.h"
 #include "src/util/zipf.h"
@@ -20,32 +20,12 @@
 namespace s3fifo {
 namespace {
 
-std::unique_ptr<ConcurrentCache> MakeCache(const std::string& kind,
-                                           const ConcurrentCacheConfig& config) {
-  if (kind == "lru-strict") {
-    return std::make_unique<ConcurrentLruStrict>(config);
-  }
-  if (kind == "lru-optimized") {
-    return std::make_unique<ConcurrentLruOptimized>(config);
-  }
-  if (kind == "clock") {
-    return std::make_unique<ConcurrentClock>(config);
-  }
-  if (kind == "tinylfu") {
-    return std::make_unique<ConcurrentTinyLfu>(config);
-  }
-  if (kind == "s3fifo-ring") {
-    return std::make_unique<ConcurrentS3FifoRing>(config);
-  }
-  return std::make_unique<ConcurrentS3Fifo>(config);
-}
-
 class ConcurrentCacheTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ConcurrentCacheTest, MissThenHitSingleThread) {
   ConcurrentCacheConfig config;
   config.capacity_objects = 128;
-  auto cache = MakeCache(GetParam(), config);
+  auto cache = MakeConcurrentCache(GetParam(), config);
   EXPECT_FALSE(cache->Get(42));
   EXPECT_TRUE(cache->Get(42));
   EXPECT_TRUE(cache->Get(42));
@@ -54,7 +34,7 @@ TEST_P(ConcurrentCacheTest, MissThenHitSingleThread) {
 TEST_P(ConcurrentCacheTest, BoundedOccupancySingleThread) {
   ConcurrentCacheConfig config;
   config.capacity_objects = 64;
-  auto cache = MakeCache(GetParam(), config);
+  auto cache = MakeConcurrentCache(GetParam(), config);
   for (uint64_t i = 0; i < 10000; ++i) {
     cache->Get(i % 500);
   }
@@ -64,7 +44,7 @@ TEST_P(ConcurrentCacheTest, BoundedOccupancySingleThread) {
 TEST_P(ConcurrentCacheTest, HotSetConvergesToHits) {
   ConcurrentCacheConfig config;
   config.capacity_objects = 256;
-  auto cache = MakeCache(GetParam(), config);
+  auto cache = MakeConcurrentCache(GetParam(), config);
   uint64_t hits = 0;
   const uint64_t rounds = 200;
   for (uint64_t round = 0; round < rounds; ++round) {
@@ -81,7 +61,7 @@ TEST_P(ConcurrentCacheTest, MultiThreadStress) {
   ConcurrentCacheConfig config;
   config.capacity_objects = 512;
   config.value_size = 32;
-  auto cache = MakeCache(GetParam(), config);
+  auto cache = MakeConcurrentCache(GetParam(), config);
   constexpr int kThreads = 4;
   constexpr uint64_t kOps = 50000;
   std::atomic<uint64_t> hits{0};
@@ -116,7 +96,7 @@ TEST_P(ConcurrentCacheTest, SmallValuesAreReadSafely) {
   ConcurrentCacheConfig config;
   config.capacity_objects = 32;
   config.value_size = 3;  // smaller than the 8-byte read window
-  auto cache = MakeCache(GetParam(), config);
+  auto cache = MakeConcurrentCache(GetParam(), config);
   for (uint64_t i = 0; i < 500; ++i) {
     cache->Get(i % 40);
   }
@@ -126,7 +106,7 @@ TEST_P(ConcurrentCacheTest, SmallValuesAreReadSafely) {
 TEST_P(ConcurrentCacheTest, StatsCountEveryRequest) {
   ConcurrentCacheConfig config;
   config.capacity_objects = 64;
-  auto cache = MakeCache(GetParam(), config);
+  auto cache = MakeConcurrentCache(GetParam(), config);
   constexpr uint64_t kRequests = 5000;
   uint64_t observed_hits = 0;
   for (uint64_t i = 0; i < kRequests; ++i) {
@@ -142,7 +122,7 @@ TEST_P(ConcurrentCacheTest, StatsCountEveryRequest) {
 TEST_P(ConcurrentCacheTest, ConcurrentSameKeyInsertRace) {
   ConcurrentCacheConfig config;
   config.capacity_objects = 64;
-  auto cache = MakeCache(GetParam(), config);
+  auto cache = MakeConcurrentCache(GetParam(), config);
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -159,9 +139,14 @@ TEST_P(ConcurrentCacheTest, ConcurrentSameKeyInsertRace) {
   EXPECT_TRUE(cache->Get(3));
 }
 
+TEST_P(ConcurrentCacheTest, FactoryNameMatchesCacheName) {
+  ConcurrentCacheConfig config;
+  config.capacity_objects = 64;
+  EXPECT_EQ(MakeConcurrentCache(GetParam(), config)->Name(), GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllKinds, ConcurrentCacheTest,
-                         ::testing::Values("lru-strict", "lru-optimized", "clock", "tinylfu",
-                                           "s3fifo", "s3fifo-ring"),
+                         ::testing::ValuesIn(ConcurrentCacheNames()),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            std::string name = info.param;
                            for (char& c : name) {
@@ -171,6 +156,15 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, ConcurrentCacheTest,
                            }
                            return name;
                          });
+
+// A misspelt name must not silently build some other prototype under the
+// requested label.
+TEST(MakeConcurrentCacheTest, RejectsUnknownName) {
+  ConcurrentCacheConfig config;
+  EXPECT_THROW(MakeConcurrentCache("s3-fifo", config), std::invalid_argument);
+  EXPECT_THROW(MakeConcurrentCache("S3FIFO", config), std::invalid_argument);
+  EXPECT_THROW(MakeConcurrentCache("", config), std::invalid_argument);
+}
 
 TEST(ConcurrentS3FifoTest, HitPathDoesNotMutateQueues) {
   ConcurrentCacheConfig config;

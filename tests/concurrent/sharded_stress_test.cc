@@ -2,10 +2,11 @@
 // intended to run under ThreadSanitizer (ctest label "concurrent"; folded
 // into tier1 when S3FIFO_STRESS_TIER1=ON, which the tsan preset sets).
 //
-// Each prototype is hammered by >= 4 threads mixing three access patterns —
-// zipf-skewed gets (hit-heavy), a sequential scan (miss/evict-heavy), and
-// same-key storms (insert-race-heavy) — then checked for bounded occupancy,
-// exact request accounting, and post-stress usability.
+// Each prototype MakeConcurrentCache builds is hammered by >= 4 threads
+// mixing three access patterns — zipf-skewed gets (hit-heavy), a sequential
+// scan (miss/evict-heavy), and same-key storms (insert-race-heavy) — then
+// checked for bounded occupancy, exact request accounting, and post-stress
+// usability.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,11 +16,6 @@
 #include <vector>
 
 #include "src/concurrent/concurrent_cache.h"
-#include "src/concurrent/concurrent_clock.h"
-#include "src/concurrent/concurrent_lru.h"
-#include "src/concurrent/concurrent_s3fifo.h"
-#include "src/concurrent/concurrent_s3fifo_ring.h"
-#include "src/concurrent/concurrent_tinylfu.h"
 #include "src/concurrent/ebr.h"
 #include "src/util/rng.h"
 #include "src/util/zipf.h"
@@ -27,33 +23,13 @@
 namespace s3fifo {
 namespace {
 
-std::unique_ptr<ConcurrentCache> MakeCache(const std::string& kind,
-                                           const ConcurrentCacheConfig& config) {
-  if (kind == "lru-strict") {
-    return std::make_unique<ConcurrentLruStrict>(config);
-  }
-  if (kind == "lru-optimized") {
-    return std::make_unique<ConcurrentLruOptimized>(config);
-  }
-  if (kind == "clock") {
-    return std::make_unique<ConcurrentClock>(config);
-  }
-  if (kind == "tinylfu") {
-    return std::make_unique<ConcurrentTinyLfu>(config);
-  }
-  if (kind == "s3fifo-ring") {
-    return std::make_unique<ConcurrentS3FifoRing>(config);
-  }
-  return std::make_unique<ConcurrentS3Fifo>(config);
-}
-
 class ShardedStressTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ShardedStressTest, MixedOpsManyThreads) {
   ConcurrentCacheConfig config;
   config.capacity_objects = 1024;
   config.value_size = 24;  // deliberately not a multiple of 8
-  auto cache = MakeCache(GetParam(), config);
+  auto cache = MakeConcurrentCache(GetParam(), config);
 
   constexpr int kThreads = 6;
   constexpr uint64_t kOpsPerThread = 20000;
@@ -107,7 +83,7 @@ TEST_P(ShardedStressTest, ChurnThenDrainReclaimsWithoutCrashing) {
   ConcurrentCacheConfig config;
   config.capacity_objects = 256;
   config.value_size = 8;
-  auto cache = MakeCache(GetParam(), config);
+  auto cache = MakeConcurrentCache(GetParam(), config);
 
   constexpr int kThreads = 4;
   std::vector<std::thread> threads;
@@ -128,8 +104,7 @@ TEST_P(ShardedStressTest, ChurnThenDrainReclaimsWithoutCrashing) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, ShardedStressTest,
-                         ::testing::Values("lru-strict", "lru-optimized", "clock", "tinylfu",
-                                           "s3fifo", "s3fifo-ring"),
+                         ::testing::ValuesIn(ConcurrentCacheNames()),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            std::string name = info.param;
                            for (char& c : name) {

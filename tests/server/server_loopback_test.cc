@@ -3,9 +3,10 @@
 // not fails, where the kernel denies io_uring_setup):
 //  * protocol smoke (set/get/delete/stats, pipelining, noreply, fragmented
 //    writes, protocol errors, quit);
-//  * resource pressure: accepting at the fd limit, and slow readers that
+//  * resource pressure: accepting at the fd limit, slow readers that
 //    drive the server through output backpressure, paused reads and (under
-//    io_uring) an exhausted provided-buffer pool;
+//    io_uring) an exhausted provided-buffer pool, and a client that never
+//    reads, whose parked input must stay within the server's limits;
 //  * the §5.3 consistency check taken all the way through the network
 //    stack: a deterministic trace replayed through a shards=1 server must
 //    produce hit/miss counts IDENTICAL to the simulator's s3fifo policy —
@@ -16,6 +17,8 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <linux/sockios.h>
+#include <sys/ioctl.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -25,6 +28,7 @@
 #include <arpa/inet.h>
 
 #include <chrono>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -550,6 +554,71 @@ TEST_P(CacheServerTest, SlowReadersGetEveryResponseInOrder) {
     close(r.fd);
   }
   EXPECT_EQ(server.TotalStats().cmd_get, keys);
+  server.Stop();
+}
+
+// A client that pipelines gets and never reads its responses may park in the
+// server only what the server's own limits allow: the parser's input buffer,
+// the listener-set kernel receive buffer (doubled by the kernel), and slack
+// for io_uring's shared provided-buffer pool (128 KiB) plus the gets whose
+// responses already went out. Parked bytes are those the client sent minus
+// those still in its own send queue. Without SO_RCVBUF on the listener, the
+// kernel autotunes the accepted socket's receive buffer while the server
+// fills its input buffer, and the client parks MBs more.
+TEST_P(CacheServerTest, NonReadingClientParksBoundedInput) {
+  constexpr size_t kValueBytes = 64 * 1024;  // few gets fill every output path
+  constexpr size_t kSlack = 256 * 1024;
+  constexpr size_t kGiveUp = 64u << 20;
+  CacheServer server(SmallServerConfig(GetParam()));
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  {
+    TestClient setup(server.port());
+    ASSERT_TRUE(setup.connected());
+    setup.Send("set 1 0 0 " + std::to_string(kValueBytes) + "\r\n" +
+               std::string(kValueBytes, 'v') + "\r\n");
+    EXPECT_EQ(setup.ReadUntil("\r\n"), "STORED\r\n");
+  }
+
+  const int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  const int small_buf = 16 * 1024;
+  setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &small_buf, sizeof(small_buf));
+  setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &small_buf, sizeof(small_buf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  fcntl(fd, F_SETFL, fcntl(fd, F_GETFL) | O_NONBLOCK);
+
+  // Push gets until the socket stays unwritable for 200 ms.
+  std::string chunk;
+  while (chunk.size() < 64 * 1024) {
+    chunk += "get 1\r\n";
+  }
+  size_t sent = 0;
+  while (sent < kGiveUp) {
+    const ssize_t n = send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<size_t>(n);
+      chunk.append(chunk, 0, static_cast<size_t>(n)).erase(0, static_cast<size_t>(n));
+      continue;
+    }
+    ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR))
+        << "send: " << strerror(errno);
+    pollfd pfd{fd, POLLOUT, 0};
+    if (poll(&pfd, 1, 200) == 0) {
+      break;
+    }
+  }
+  int unsent = 0;
+  ASSERT_EQ(ioctl(fd, SIOCOUTQ, &unsent), 0);
+  const size_t parked = sent - static_cast<size_t>(unsent);
+  const size_t bound =
+      kConnInputBytes + 2 * static_cast<size_t>(kListenerRcvBufBytes) + kSlack;
+  EXPECT_LE(parked, bound) << "the server's kernel receive buffer is not bounded";
+  close(fd);
   server.Stop();
 }
 
