@@ -3,13 +3,16 @@
 // structures, sketch, MPMC ring). Supports the §4.3 overhead analysis.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "src/concurrent/concurrent_s3fifo.h"
 #include "src/concurrent/ebr.h"
 #include "src/concurrent/lockfree_hash_map.h"
 #include "src/concurrent/mpmc_queue.h"
 #include "src/core/cache_factory.h"
+#include "src/server/protocol.h"
 #include "src/trace/trace.h"
 #include "src/trace/trace_view.h"
 #include "src/util/count_min_sketch.h"
@@ -271,6 +274,80 @@ void BM_ConcurrentS3FifoGet(benchmark::State& state) {
 }
 BENCHMARK(BM_ConcurrentS3FifoGet)->Threads(1);
 BENCHMARK(BM_ConcurrentS3FifoGet)->Threads(4);
+
+// The server's per-batch cache step: 32-id Zipf batches (the width a
+// pipelined connection fuses) through ConcurrentS3Fifo::GetBatch, with a
+// sink that copies every hit's bytes out as the server's renderer does.
+// Universe, capacity and value size match the repository benchmark's
+// pipelined-get workload; ids are drawn up front so the sampler stays out
+// of the timing. Counters report keys/s.
+class CopySink final : public ValueSink {
+ public:
+  void OnValue(uint32_t, const char* data, uint32_t size) override {
+    out.insert(out.end(), data, data + size);
+  }
+  std::vector<char> out;
+};
+
+void BM_ConcurrentS3FifoGetBatchSink(benchmark::State& state) {
+  constexpr uint64_t kObjects = 1 << 17;
+  constexpr uint32_t kBatch = 32;
+  ConcurrentCacheConfig config;
+  config.capacity_objects = kObjects / 4;
+  config.value_size = 64;
+  ConcurrentS3Fifo cache(config);
+  ZipfDistribution zipf(kObjects, 1.0);
+  Rng rng(7);
+  std::vector<uint64_t> ids(1 << 20);
+  for (uint64_t& id : ids) {
+    id = zipf.Sample(rng);
+  }
+  for (const uint64_t id : ids) {
+    cache.Get(id);  // warm to the steady-state resident set
+  }
+  std::vector<uint8_t> hits(kBatch);
+  CopySink sink;
+  size_t at = 0;
+  for (auto _ : state) {
+    sink.out.clear();
+    cache.GetBatch(ids.data() + at, kBatch, hits.data(), &sink);
+    benchmark::DoNotOptimize(sink.out.data());
+    benchmark::ClobberMemory();
+    at = at + 2 * kBatch <= ids.size() ? at + kBatch : 0;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kBatch);
+}
+BENCHMARK(BM_ConcurrentS3FifoGetBatchSink);
+
+// The server's per-command parse step on a pipelined get stream: one
+// ParseCommand over a `get <decimal>\r\n` line plus KeyToId on its key, with
+// the parse output cleared every 64 commands as a server event-loop pass
+// does. Counters report commands/s.
+void BM_ParseGet(benchmark::State& state) {
+  ZipfDistribution zipf(1 << 17, 1.0);
+  Rng rng(7);
+  std::string stream;
+  for (int i = 0; i < 4096; ++i) {
+    stream += "get " + std::to_string(zipf.Sample(rng)) + "\r\n";
+  }
+  ParseOutput out;
+  std::string_view rest = stream;
+  uint64_t sum = 0;
+  for (auto _ : state) {
+    if (rest.empty()) {
+      rest = stream;
+    }
+    if (out.ops.size() == 64) {
+      out.Clear();
+    }
+    const ParseResult r = ParseCommand(rest, out);
+    rest.remove_prefix(r.consumed);
+    sum += KeyToId(out.keys[out.ops.back().key_begin]);
+  }
+  benchmark::DoNotOptimize(sum);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ParseGet);
 
 // Per-request cost of each policy on a Zipf(1.0) stream, cache = 10% of the
 // universe (≈90% hit ratio: dominated by the hit path, as in production).

@@ -14,7 +14,7 @@ bool ConcurrentClock::Get(uint64_t id) {
     // The whole hit path: one wait-free probe and one relaxed store.
     e->ref.store(1, std::memory_order_relaxed);
     (void)ReadValuePayload(e->value.get(), value_size_);
-    core_.CountHit();
+    core_.CountHits(1);
     return true;
   }
 

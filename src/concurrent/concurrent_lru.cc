@@ -62,7 +62,7 @@ bool ConcurrentLruOptimized::Get(uint64_t id) {
         }
       });
     }
-    core_.CountHit();
+    core_.CountHits(1);
     return true;
   }
 

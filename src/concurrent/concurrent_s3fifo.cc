@@ -10,8 +10,15 @@
 namespace s3fifo {
 
 namespace {
-// How far ahead of the current request GetBatch prefetches the index slot.
-constexpr uint32_t kBatchPrefetch = 8;
+// GetBatch's staged prefetch, in requests ahead of the one being served: the
+// index slot first; then, once that slot has had time to arrive, a peek at
+// the entry it names; then, once the entry has arrived, that entry's value.
+constexpr uint32_t kSlotAhead = 16;
+constexpr uint32_t kEntryAhead = 8;
+constexpr uint32_t kValueAhead = 4;
+// Peeked entries wait in a ring from their peek until their value prefetch.
+constexpr uint32_t kPeekRing = 8;
+static_assert(kEntryAhead - kValueAhead < kPeekRing, "a peek is overwritten before its use");
 }  // namespace
 
 ConcurrentS3Fifo::ValueBuf* ConcurrentS3Fifo::MakeBuf(const char* data, uint32_t size) {
@@ -66,7 +73,6 @@ bool ConcurrentS3Fifo::AccessPinned(uint64_t id, const char* set_data, uint32_t 
         (void)ReadValuePayload(v->data, v->size);
       }
     }
-    core_.CountHit();
     return true;
   }
 
@@ -81,25 +87,61 @@ bool ConcurrentS3Fifo::AccessPinned(uint64_t id, const char* set_data, uint32_t 
 
 bool ConcurrentS3Fifo::Get(uint64_t id) {
   EbrDomain::Guard guard;
-  return AccessPinned(id, nullptr, 0, 0, nullptr);
+  const bool hit = AccessPinned(id, nullptr, 0, 0, nullptr);
+  core_.CountHits(hit ? 1 : 0);
+  return hit;
 }
 
+// The prefetches are hints only. A peeked entry stays readable for the whole
+// batch (it was published while this batch's guard was pinned, so EBR cannot
+// free it before the guard drops), but it may have been evicted or replaced
+// by then, e.g. by an earlier miss in this batch; AccessPinned therefore
+// probes the index afresh for every id.
 void ConcurrentS3Fifo::GetBatch(const uint64_t* ids, uint32_t count, uint8_t* hits,
                                 ValueSink* sink) {
   EbrDomain::Guard guard;
-  for (uint32_t i = 0; i < count; ++i) {
-    if (i + kBatchPrefetch < count) {
-      const uint64_t ahead = ids[i + kBatchPrefetch];
-      core_.ShardFor(ahead).index.Prefetch(ahead);
+  Entry* peeked[kPeekRing] = {};
+  const auto prefetch_slot = [&](uint32_t k) { core_.ShardFor(ids[k]).index.Prefetch(ids[k]); };
+  const auto peek_entry = [&](uint32_t k) {
+    Entry* e = core_.ShardFor(ids[k]).index.Find(ids[k]);
+    if (e != nullptr) {
+      __builtin_prefetch(e, 0, 1);
     }
-    hits[i] = AccessPinned(ids[i], nullptr, 0, i, sink) ? 1 : 0;
+    peeked[k % kPeekRing] = e;
+  };
+  const auto prefetch_value = [&](uint32_t k) {
+    if (const Entry* e = peeked[k % kPeekRing]) {
+      __builtin_prefetch(e->value.load(std::memory_order_relaxed), 0, 1);
+    }
+  };
+  uint64_t hit_count = 0;
+  // i starts kSlotAhead early so every stage has run for an id before its
+  // turn comes.
+  for (int64_t i = -static_cast<int64_t>(kSlotAhead); i < count; ++i) {
+    if (i + kSlotAhead < count) {
+      prefetch_slot(static_cast<uint32_t>(i + kSlotAhead));
+    }
+    if (i + kEntryAhead >= 0 && i + kEntryAhead < count) {
+      peek_entry(static_cast<uint32_t>(i + kEntryAhead));
+    }
+    if (i + kValueAhead >= 0 && i + kValueAhead < count) {
+      prefetch_value(static_cast<uint32_t>(i + kValueAhead));
+    }
+    if (i >= 0) {
+      const bool hit = AccessPinned(ids[i], nullptr, 0, static_cast<uint32_t>(i), sink);
+      hits[i] = hit ? 1 : 0;
+      hit_count += hit ? 1 : 0;
+    }
   }
+  core_.CountHits(hit_count);
 }
 
 bool ConcurrentS3Fifo::Set(uint64_t id, const char* data, uint32_t size) {
   static constexpr char kEmpty = '\0';
   EbrDomain::Guard guard;
-  AccessPinned(id, data != nullptr ? data : &kEmpty, data != nullptr ? size : 0, 0, nullptr);
+  const bool hit =
+      AccessPinned(id, data != nullptr ? data : &kEmpty, data != nullptr ? size : 0, 0, nullptr);
+  core_.CountHits(hit ? 1 : 0);
   return true;
 }
 

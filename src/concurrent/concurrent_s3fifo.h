@@ -36,9 +36,11 @@ class ConcurrentS3Fifo : public ConcurrentCache {
                             uint32_t move_threshold = 2, uint32_t max_freq = 3);
 
   bool Get(uint64_t id) override;
-  // Software-pipelined batch: one EBR pin for the whole block, index slots
-  // prefetched kBatchPrefetch ids ahead; outcome bit-identical to Get() per
-  // id. Hits report their value bytes through `sink` (server data path).
+  // Software-pipelined batch: one EBR pin for the whole block, a staged
+  // prefetch (index slot, then entry, then value) running ahead of the
+  // probes, and one hit-counter update per batch; outcome bit-identical to
+  // Get() per id. Hits report their value bytes through `sink` (server data
+  // path).
   void GetBatch(const uint64_t* ids, uint32_t count, uint8_t* hits,
                 ValueSink* sink = nullptr) override;
   // Insert-or-replace with explicit bytes. A resident object's value is
@@ -95,6 +97,7 @@ class ConcurrentS3Fifo : public ConcurrentCache {
 
   // One request, caller already pinned (EBR guard held). `set_data` non-null
   // makes it a `set` (value stored/replaced); null is an on-demand-fill get.
+  // Counts the miss but not the hit: callers add hits in bulk.
   bool AccessPinned(uint64_t id, const char* set_data, uint32_t set_size, uint32_t batch_index,
                     ValueSink* sink);
 

@@ -92,7 +92,7 @@ bool ConcurrentTinyLfu::Get(uint64_t id) {
         PromoteLocked(s, e);
       }
     });
-    core_.CountHit();
+    core_.CountHits(1);
     return true;
   }
 

@@ -3,6 +3,12 @@
 // requests drawn from a Zipf distribution; misses are filled on demand with
 // pre-generated data; throughput is aggregated over all threads.
 //
+// Each thread is pinned to one CPU of the process's allowed set (thread t
+// to the (t mod n)-th), first replays an untimed warm-up (num_objects
+// requests across all threads), and draws all of its timed ids before the
+// start barrier; the timed window holds only the GetBatch calls, and the
+// hit ratio counts only timed requests.
+//
 // Requests are routed through ConcurrentCache::GetBatch in blocks of
 // kReplayBatch — the same software-pipelined path the network front end
 // (src/server/) drives per connection — and each batch's wall time is

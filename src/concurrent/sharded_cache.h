@@ -183,8 +183,11 @@ class ShardedCore {
       return false;
     }
     s.resident.fetch_add(1, std::memory_order_relaxed);
-    std::vector<Entry*> victims;
-    s.gate.Submit(e, [&s, &victims, &drain] { drain(s, victims); });
+    // Reused per thread, so a miss allocates only its entry. Nothing below
+    // re-enters AdmitMiss, so one buffer per thread suffices.
+    static thread_local std::vector<Entry*> victims;
+    victims.clear();
+    s.gate.Submit(e, [&s, &drain] { drain(s, victims); });
     for (Entry* victim : victims) {
       s.index.EraseIf(victim->id, [victim](Entry* v) { return v == victim; });
       Retire(victim);
@@ -205,7 +208,11 @@ class ShardedCore {
     return total;
   }
 
-  void CountHit() { hits_.Add(1); }
+  void CountHits(uint64_t n) {
+    if (n != 0) {
+      hits_.Add(static_cast<int64_t>(n));
+    }
+  }
 
   ConcurrentCacheStats Stats() const {
     return {static_cast<uint64_t>(hits_.Sum()), static_cast<uint64_t>(misses_.Sum())};

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstring>
 #include <unordered_map>
 
 #include "src/concurrent/concurrent_s3fifo.h"
@@ -29,21 +30,6 @@ void AppendStat(std::vector<char>& out, std::string_view name, uint64_t v) {
   AppendStr(out, "\r\n");
 }
 
-// Copies each batched hit's value bytes into the connection's arena while
-// the cache's read guard protects them; response rendering then references
-// the arena, never cache memory.
-struct ArenaSink final : public ValueSink {
-  std::vector<char>* arena = nullptr;
-  // offset in arena per batch index; kNoValue = miss or value-less cache.
-  std::vector<std::pair<uint32_t, uint32_t>>* slots = nullptr;
-  static constexpr uint32_t kNoValue = ~uint32_t{0};
-
-  void OnValue(uint32_t index, const char* data, uint32_t size) override {
-    (*slots)[index] = {static_cast<uint32_t>(arena->size()), size};
-    arena->insert(arena->end(), data, data + size);
-  }
-};
-
 struct Connection {
   Transport::Conn* tconn = nullptr;
   RingBuffer in{16 * 1024, kConnInputBytes};
@@ -58,10 +44,53 @@ struct Connection {
   std::vector<uint64_t> batch_ids;
   std::vector<std::string_view> batch_keys;
   std::vector<uint8_t> batch_hits;
-  std::vector<std::pair<uint32_t, uint32_t>> batch_slots;
-  std::vector<char> value_arena;
-  // (op index, keys in that op) for END placement when rendering.
-  std::vector<uint32_t> batch_op_key_counts;
+  // Per get command in the batch: the batch index one past its last key,
+  // which is where its END goes.
+  std::vector<uint32_t> batch_op_ends;
+};
+
+// Renders the fused batch's responses into the connection's output as
+// GetBatch reports hits, in batch order: each hit is one contiguous append
+// of "VALUE <key> 0 <size>\r\n<value>\r\n", copied straight from cache
+// memory while the cache's read guard still protects it, and every get
+// that ends before the hit first gets its END.
+struct RenderSink final : public ValueSink {
+  explicit RenderSink(Connection& conn) : c(conn) {}
+
+  // Renders END for every get whose keys all lie before batch `index`.
+  void EndGetsBefore(uint32_t index) {
+    while (next_op < c.batch_op_ends.size() && c.batch_op_ends[next_op] <= index) {
+      AppendStr(c.out, "END\r\n");
+      ++next_op;
+    }
+  }
+
+  void OnValue(uint32_t index, const char* data, uint32_t size) override {
+    EndGetsBefore(index);
+    ++hits;
+    const std::string_view key = c.batch_keys[index];
+    char size_buf[20];
+    const char* size_digits = FormatU64Before(size_buf + sizeof(size_buf), size);
+    const size_t size_len = static_cast<size_t>(size_buf + sizeof(size_buf) - size_digits);
+    const size_t at = c.out.size();
+    c.out.resize(at + 6 + key.size() + 3 + size_len + 2 + size + 2);
+    char* p = c.out.data() + at;
+    const auto put = [&p](const char* src, size_t len) {
+      std::memcpy(p, src, len);
+      p += len;
+    };
+    put("VALUE ", 6);
+    put(key.data(), key.size());
+    put(" 0 ", 3);
+    put(size_digits, size_len);
+    put("\r\n", 2);
+    put(data, size);
+    put("\r\n", 2);
+  }
+
+  Connection& c;
+  size_t next_op = 0;  // first get whose END is not rendered yet
+  uint64_t hits = 0;
 };
 
 }  // namespace
@@ -231,50 +260,24 @@ struct CacheServer::Worker final : public Transport::Handler {
     c->pumping = false;
   }
 
-  // Executes the fused get batch through the cache's pipelined path and
-  // renders one "VALUE…/END" group per original get command, in order.
+  // Executes the fused get batch through the cache's pipelined path; the
+  // sink renders one "VALUE…/END" group per original get command, in order.
   void FlushGetBatch(Connection& c) {
-    ConcurrentCache& cache = *server->cache_;
     const uint32_t n = static_cast<uint32_t>(c.batch_ids.size());
     if (n == 0) {
       return;
     }
-    c.batch_hits.assign(n, 0);
-    c.batch_slots.assign(n, {ArenaSink::kNoValue, 0});
-    c.value_arena.clear();
-    ArenaSink sink;
-    sink.arena = &c.value_arena;
-    sink.slots = &c.batch_slots;
-    cache.GetBatch(c.batch_ids.data(), n, c.batch_hits.data(), &sink);
-
-    uint64_t hits = 0;
-    uint32_t idx = 0;
-    for (uint32_t key_count : c.batch_op_key_counts) {
-      for (uint32_t k = 0; k < key_count; ++k, ++idx) {
-        if (c.batch_hits[idx] == 0 ||
-            c.batch_slots[idx].first == ArenaSink::kNoValue) {
-          continue;
-        }
-        ++hits;
-        const auto [off, size] = c.batch_slots[idx];
-        AppendStr(c.out, "VALUE ");
-        AppendStr(c.out, c.batch_keys[idx]);
-        AppendStr(c.out, " 0 ");
-        AppendU64(c.out, size);
-        AppendStr(c.out, "\r\n");
-        c.out.insert(c.out.end(), c.value_arena.data() + off,
-                     c.value_arena.data() + off + size);
-        AppendStr(c.out, "\r\n");
-      }
-      AppendStr(c.out, "END\r\n");
-    }
+    c.batch_hits.resize(n);
+    RenderSink sink(c);
+    server->cache_->GetBatch(c.batch_ids.data(), n, c.batch_hits.data(), &sink);
+    sink.EndGetsBefore(n);
     Bump(batches);
     Bump(batched_gets, n);
-    Bump(get_hits, hits);
-    Bump(get_misses, n - hits);
+    Bump(get_hits, sink.hits);
+    Bump(get_misses, n - sink.hits);
     c.batch_ids.clear();
     c.batch_keys.clear();
-    c.batch_op_key_counts.clear();
+    c.batch_op_ends.clear();
   }
 
   // Parses and executes everything buffered on the connection. Respects the
@@ -313,7 +316,7 @@ struct CacheServer::Worker final : public Transport::Handler {
             c->batch_ids.push_back(KeyToId(key));
             c->batch_keys.push_back(key);
           }
-          c->batch_op_key_counts.push_back(op.key_count);
+          c->batch_op_ends.push_back(static_cast<uint32_t>(c->batch_ids.size()));
           if (c->batch_ids.size() >= config.max_batch) {
             FlushGetBatch(*c);
           }

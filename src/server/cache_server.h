@@ -8,8 +8,9 @@
 //   [Transport: epoll or io_uring]   ▼
 //     incoming bytes ──pushed──▶ RingBuffer ──ParseCommand*──▶ ops
 //        consecutive get keys fuse into one batch ──▶ ConcurrentCache::
-//        GetBatch (software-pipelined lock-free probes, values copied out
-//        under the EBR read guard) ──▶ responses appended to out buffer
+//        GetBatch (software-pipelined lock-free probes) ──▶ each hit
+//        rendered straight from cache memory into the out buffer, under
+//        the EBR read guard
 //     outgoing bytes ──Send()──▶ transport send queue; backpressure:
 //        parsing pauses while more than out_high_watermark bytes are queued
 //        unsent, and reading pauses once the in-buffer fills behind the

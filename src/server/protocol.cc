@@ -47,11 +47,19 @@ bool ParseU64(std::string_view s, uint64_t* out) {
   return true;
 }
 
-// Splits `line` into at most kMaxTokens whitespace-separated tokens.
+// Splits `line` into at most kMaxTokens space-separated tokens.
 // Returns -1 (malformed, never silently truncates keys) on overflow.
 constexpr int kMaxTokens = 66;  // verb + 64 keys + noreply
 
-int Tokenize(std::string_view line, std::string_view* tokens) {
+// One token: line[begin, begin + size). Trivially typed, so the slot array
+// a command tokenizes into costs nothing until a slot is written.
+struct Token {
+  uint16_t begin;
+  uint16_t size;
+};
+static_assert(kMaxLineLen < (1u << 16), "token offsets are 16-bit");
+
+int Tokenize(std::string_view line, Token* tokens) {
   int n = 0;
   size_t i = 0;
   while (i < line.size()) {
@@ -66,7 +74,7 @@ int Tokenize(std::string_view line, std::string_view* tokens) {
       if (n == kMaxTokens) {
         return -1;
       }
-      tokens[n++] = line.substr(start, i - start);
+      tokens[n++] = {static_cast<uint16_t>(start), static_cast<uint16_t>(i - start)};
     }
   }
   return n;
@@ -102,22 +110,25 @@ ParseResult ParseCommand(std::string_view data, ParseOutput& out) {
   }
   const std::string_view line = data.substr(0, nl - 1);
 
-  std::string_view tokens[kMaxTokens];
-  const int ntok = Tokenize(line, tokens);
+  Token slots[kMaxTokens];  // deliberately uninitialised; see Token
+  const int ntok = Tokenize(line, slots);
   if (ntok < 0) {
     return Error(kErrBadArgs, line_end);
   }
   if (ntok == 0) {
     return Error(kErrUnknownCommand, line_end);
   }
-  const std::string_view verb = tokens[0];
+  const auto token = [&](int i) {
+    return std::string_view(line.data() + slots[i].begin, slots[i].size);
+  };
+  const std::string_view verb = token(0);
 
   if (verb == "get" || verb == "gets" || verb == "mget") {
     if (ntok < 2) {
       return Error(kErrBadArgs, line_end);
     }
     for (int i = 1; i < ntok; ++i) {
-      if (!ValidKey(tokens[i])) {
+      if (!ValidKey(token(i))) {
         return Error(kErrBadKey, line_end);
       }
     }
@@ -126,23 +137,23 @@ ParseResult ParseCommand(std::string_view data, ParseOutput& out) {
     op.key_begin = static_cast<uint32_t>(out.keys.size());
     op.key_count = static_cast<uint32_t>(ntok - 1);
     for (int i = 1; i < ntok; ++i) {
-      out.keys.push_back(tokens[i]);
+      out.keys.push_back(token(i));
     }
     out.ops.push_back(op);
     return {ParseStatus::kOk, line_end, nullptr};
   }
 
   if (verb == "set") {
-    const bool noreply = ntok == 6 && tokens[5] == "noreply";
+    const bool noreply = ntok == 6 && token(5) == "noreply";
     if (ntok != 5 && !noreply) {
       return Error(kErrBadArgs, line_end);
     }
-    if (!ValidKey(tokens[1])) {
+    if (!ValidKey(token(1))) {
       return Error(kErrBadKey, line_end);
     }
     uint64_t flags = 0, exptime = 0, bytes = 0;
-    if (!ParseU64(tokens[2], &flags) || !ParseU64(tokens[3], &exptime) ||
-        !ParseU64(tokens[4], &bytes)) {
+    if (!ParseU64(token(2), &flags) || !ParseU64(token(3), &exptime) ||
+        !ParseU64(token(4), &bytes)) {
       return Error(kErrBadArgs, line_end);
     }
     if (bytes > kMaxValueBytes) {
@@ -164,17 +175,17 @@ ParseResult ParseCommand(std::string_view data, ParseOutput& out) {
     op.set_flags = static_cast<uint32_t>(flags);
     op.value = data.substr(line_end, bytes);
     op.noreply = noreply;
-    out.keys.push_back(tokens[1]);
+    out.keys.push_back(token(1));
     out.ops.push_back(op);
     return {ParseStatus::kOk, frame, nullptr};
   }
 
   if (verb == "delete") {
-    const bool noreply = ntok == 3 && tokens[2] == "noreply";
+    const bool noreply = ntok == 3 && token(2) == "noreply";
     if (ntok != 2 && !noreply) {
       return Error(kErrBadArgs, line_end);
     }
-    if (!ValidKey(tokens[1])) {
+    if (!ValidKey(token(1))) {
       return Error(kErrBadKey, line_end);
     }
     ParsedOp op;
@@ -182,7 +193,7 @@ ParseResult ParseCommand(std::string_view data, ParseOutput& out) {
     op.key_begin = static_cast<uint32_t>(out.keys.size());
     op.key_count = 1;
     op.noreply = noreply;
-    out.keys.push_back(tokens[1]);
+    out.keys.push_back(token(1));
     out.ops.push_back(op);
     return {ParseStatus::kOk, line_end, nullptr};
   }

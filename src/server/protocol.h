@@ -82,16 +82,20 @@ inline void AppendStr(std::vector<char>& out, std::string_view s) {
   out.insert(out.end(), s.begin(), s.end());
 }
 
-inline void AppendU64(std::vector<char>& out, uint64_t v) {
-  char buf[20];
-  int n = 0;
+// Writes `v` in decimal so that it ends just before `end` (which needs up
+// to 20 bytes of room below it); returns where the digits begin.
+inline char* FormatU64Before(char* end, uint64_t v) {
   do {
-    buf[n++] = static_cast<char>('0' + v % 10);
+    *--end = static_cast<char>('0' + v % 10);
     v /= 10;
   } while (v != 0);
-  while (n > 0) {
-    out.push_back(buf[--n]);
-  }
+  return end;
+}
+
+inline void AppendU64(std::vector<char>& out, uint64_t v) {
+  char buf[20];
+  char* digits = FormatU64Before(buf + sizeof(buf), v);
+  out.insert(out.end(), digits, buf + sizeof(buf));
 }
 
 }  // namespace s3fifo

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace s3fifo {
 namespace {
@@ -155,6 +157,50 @@ TEST(ProtocolTest, TooManyKeysIsAnErrorNotTruncation) {
   const ParseResult r = Parse(line, out);
   ASSERT_EQ(r.status, ParseStatus::kError);
   EXPECT_TRUE(out.ops.empty());  // never a silently-shortened get
+}
+
+TEST(ProtocolTest, TokenOverflowOutranksABadKey) {
+  // 66 keys is one token past the limit: the line is refused as malformed
+  // before any key is looked at, even though one of them is invalid.
+  std::string line = "get";
+  for (int i = 0; i < 66; ++i) {
+    line += i == 40 ? " bad\x7f" : " k" + std::to_string(i);
+  }
+  line += "\r\n";
+  ParseOutput out;
+  const ParseResult r = Parse(line, out);
+  ASSERT_EQ(r.status, ParseStatus::kError);
+  EXPECT_STREQ(r.error, "CLIENT_ERROR bad command line format\r\n");
+  EXPECT_EQ(r.consumed, line.size());
+  EXPECT_TRUE(out.keys.empty());
+}
+
+TEST(ProtocolTest, RepeatedAndTrailingSpacesSeparateNothing) {
+  ParseOutput out;
+  const ParseResult r = Parse("get  a  b \r\n", out);
+  ASSERT_EQ(r.status, ParseStatus::kOk);
+  ASSERT_EQ(out.ops.size(), 1u);
+  ASSERT_EQ(out.ops[0].key_count, 2u);
+  EXPECT_EQ(out.keys, (std::vector<std::string_view>{"a", "b"}));
+}
+
+TEST(ProtocolTest, GetWithoutKeysIsBadArgs) {
+  for (const char* line : {"get\r\n", "get \r\n"}) {
+    ParseOutput out;
+    const ParseResult r = Parse(line, out);
+    ASSERT_EQ(r.status, ParseStatus::kError) << line;
+    EXPECT_STREQ(r.error, "CLIENT_ERROR bad command line format\r\n") << line;
+    EXPECT_TRUE(out.ops.empty()) << line;
+  }
+}
+
+TEST(ProtocolTest, TabDoesNotSeparateTheVerb) {
+  // Only spaces separate tokens, so "get\ta" is one unknown verb.
+  ParseOutput out;
+  const ParseResult r = Parse("get\ta\r\n", out);
+  ASSERT_EQ(r.status, ParseStatus::kError);
+  EXPECT_STREQ(r.error, "ERROR\r\n");
+  EXPECT_EQ(r.consumed, 7u);
 }
 
 TEST(ProtocolTest, KeyToIdDecimalRoundTrip) {

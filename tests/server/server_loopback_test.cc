@@ -29,6 +29,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -211,6 +212,70 @@ TEST_P(CacheServerTest, PipelinedCommandsAnswerInOrder) {
   EXPECT_EQ(stats.cmd_get, 5u);  // a, b, miss1, a, b
   EXPECT_GE(stats.batches, 1u);
   EXPECT_EQ(stats.batched_gets, 5u);
+  server.Stop();
+}
+
+// Every get ends in exactly one END, placed after its own hits, whatever
+// mix of hits and misses the fused batch holds and wherever max_batch cuts
+// the stream: a first key that misses, an all-miss get between hit gets,
+// a miss between two hits, and gets that straddle several flushes.
+TEST_P(CacheServerTest, EndClosesEachGetAcrossMissesAndBatchCuts) {
+  ServerConfig config = SmallServerConfig(GetParam());
+  config.max_batch = 5;
+  CacheServer server(config);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+
+  client.Send("set a 0 0 1\r\nA\r\nset b 0 0 2\r\nBB\r\nset c 0 0 3\r\nCCC\r\n");
+  EXPECT_EQ(client.ReadUntil("STORED\r\nSTORED\r\nSTORED\r\n"),
+            "STORED\r\nSTORED\r\nSTORED\r\n");
+
+  // Resident keys render their value; every other key is a first-time miss
+  // (it gets admitted, and is never asked for again).
+  const std::map<std::string, std::string> resident = {{"a", "A"}, {"b", "BB"}, {"c", "CCC"}};
+  std::string request, expected;
+  uint64_t hits = 0, misses = 0;
+  auto get = [&](const std::vector<std::string>& keys) {
+    request += "get";
+    for (const std::string& key : keys) {
+      request += " " + key;
+      const auto it = resident.find(key);
+      if (it == resident.end()) {
+        ++misses;
+        continue;
+      }
+      ++hits;
+      expected += "VALUE " + key + " 0 " + std::to_string(it->second.size()) + "\r\n" +
+                  it->second + "\r\n";
+    }
+    request += "\r\n";
+    expected += "END\r\n";
+  };
+  get({"x1", "a"});        // the first key misses
+  get({"b"});
+  get({"x2", "x3"});       // all-miss get between hit gets
+  get({"c"});
+  get({"a", "x4", "b"});   // get a miss b
+  for (int i = 0; i < 40; ++i) {  // straddles max_batch many times over
+    const std::string m = "m" + std::to_string(i);
+    switch (i % 4) {
+      case 0: get({m, "c"}); break;
+      case 1: get({m}); break;
+      case 2: get({"a", m, "b"}); break;
+      default: get({"c", "a", m + "x", m + "y", "b", "c"}); break;
+    }
+  }
+  request += "version\r\n";
+  expected += "VERSION s3fifo-server 1.0\r\n";
+  client.Send(request);
+  EXPECT_EQ(client.ReadUntil("VERSION s3fifo-server 1.0\r\n"), expected);
+
+  const ServerStats stats = server.TotalStats();
+  EXPECT_EQ(stats.get_hits, hits);
+  EXPECT_EQ(stats.get_misses, misses);
+  EXPECT_EQ(stats.cmd_get, hits + misses);
   server.Stop();
 }
 
