@@ -35,6 +35,10 @@ struct BenchOptions {
   // Directory for the persistent mmap trace cache; empty = regenerate every
   // run. Settable via --trace-cache-dir= or env S3FIFO_TRACE_CACHE_DIR.
   std::string trace_cache_dir;
+  // Time cold vs warm trace resolution in BENCH_trace_cache.json
+  // (--trace-cache-timing). Off by default: the reps regenerate one trace
+  // per group five times, which can cost more than a warm run saves.
+  bool trace_cache_timing = false;
   // MRC computation mode for the miss-ratio sweeps: "onepass" (default;
   // FIFO-family policies use the exact one-pass engine) or "brute" (one
   // simulation per size — the escape hatch / reference path). Parsed by
@@ -53,14 +57,19 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
       opts.threads = static_cast<unsigned>(std::atoi(arg + 10));
     } else if (std::strncmp(arg, "--trace-cache-dir=", 18) == 0) {
       opts.trace_cache_dir = arg + 18;
+    } else if (std::strcmp(arg, "--trace-cache-timing") == 0) {
+      opts.trace_cache_timing = true;
     } else if (std::strncmp(arg, "--mrc=", 6) == 0) {
       opts.mrc = arg + 6;
     } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       std::printf(
-          "usage: %s [--threads=N] [--trace-cache-dir=DIR] [--mrc=MODE]\n"
+          "usage: %s [--threads=N] [--trace-cache-dir=DIR [--trace-cache-timing]]"
+          " [--mrc=MODE]\n"
           "  --threads=N           sweep-engine worker threads (0 = hardware concurrency)\n"
           "  --trace-cache-dir=DIR persist generated traces; later runs mmap them\n"
           "                        (also env S3FIFO_TRACE_CACHE_DIR; empty = off)\n"
+          "  --trace-cache-timing  time cold vs warm trace resolution per group\n"
+          "                        (5 interleaved reps) in BENCH_trace_cache.json\n"
           "  --mrc=MODE            miss-ratio sweeps: onepass (default) | brute\n"
           "  env S3FIFO_BENCH_SCALE=X scales trace lengths (default 1.0)\n",
           argv[0]);

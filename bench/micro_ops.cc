@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark): per-request cost of each simulated
 // policy, plus the core substrate operations (Zipf sampling, hashing, ghost
-// structures, sketch, MPMC ring). Supports the §4.3 overhead analysis.
+// structures, sketch, MPMC ring) and trace generation and statistics.
+// Supports the §4.3 overhead analysis.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -23,6 +24,8 @@
 #include "src/util/intrusive_list.h"
 #include "src/util/rng.h"
 #include "src/util/zipf.h"
+#include "src/workload/dataset_profiles.h"
+#include "src/workload/zipf_workload.h"
 
 namespace s3fifo {
 namespace {
@@ -348,6 +351,59 @@ void BM_ParseGet(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ParseGet);
+
+// GenerateZipfTrace per request: the three dataset profiles of the
+// repository benchmark's offline job (base config, fixed seed), and its
+// pipelined-get stream ("kv": 2M requests over 2^17 objects, fixed 64-byte
+// sizes, no bursts). The time_per_req counter is wall time per generated
+// request.
+ZipfWorkloadConfig GenerationConfig(const std::string& name) {
+  ZipfWorkloadConfig config;
+  if (name == "kv") {
+    config.num_objects = 1 << 17;
+    config.num_requests = 2000000;
+    config.alpha = 1.0;
+    config.size_mean_bytes = 64;
+    config.scramble_ids = false;
+  } else {
+    config = DatasetByName(name).base;
+  }
+  config.seed = 1;
+  return config;
+}
+
+benchmark::Counter TimePerRequest(uint64_t requests_per_iteration) {
+  return benchmark::Counter(static_cast<double>(requests_per_iteration),
+                            benchmark::Counter::kIsIterationInvariantRate |
+                                benchmark::Counter::kInvert);
+}
+
+void BM_GenerateZipfTrace(benchmark::State& state, const std::string& name) {
+  const ZipfWorkloadConfig config = GenerationConfig(name);
+  for (auto _ : state) {
+    const Trace trace = GenerateZipfTrace(config);
+    benchmark::DoNotOptimize(trace.requests().data());
+  }
+  state.counters["time_per_req"] = TimePerRequest(config.num_requests);
+}
+BENCHMARK_CAPTURE(BM_GenerateZipfTrace, twitter, "twitter")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_GenerateZipfTrace, msr, "msr")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_GenerateZipfTrace, cdn1, "cdn1")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_GenerateZipfTrace, kv, "kv")->Unit(benchmark::kMillisecond);
+
+// Trace::Stats() per request on a fresh copy of a generated trace (the copy
+// is untimed): the pass SweepEngine::MakeSharedTrace runs on every trace.
+void BM_TraceStats(benchmark::State& state, const std::string& name) {
+  const Trace source = GenerateZipfTrace(GenerationConfig(name));
+  for (auto _ : state) {
+    state.PauseTiming();
+    const Trace trace(source.requests());
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(trace.Stats().num_objects);
+  }
+  state.counters["time_per_req"] = TimePerRequest(source.size());
+}
+BENCHMARK_CAPTURE(BM_TraceStats, msr, "msr")->Unit(benchmark::kMillisecond);
 
 // Per-request cost of each policy on a Zipf(1.0) stream, cache = 10% of the
 // universe (≈90% hit ratio: dominated by the hit path, as in production).

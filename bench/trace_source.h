@@ -5,27 +5,73 @@
 // and mmap'd (zero-copy) on every later use — across runs and processes — so
 // warm figure regeneration skips the generation cost entirely.
 //
-// WriteReport() emits BENCH_trace_cache.json: per dataset-profile cold
-// (generate+persist) vs warm (mmap) wall-clock, the concrete number behind
-// the "warm runs are >= 2x faster" acceptance bar.
+// WriteReport() emits BENCH_trace_cache.json: per trace group, the cold
+// (generate + persist) and warm (mmap) cost of resolving one of its traces,
+// over interleaved reps with median, min and quartiles.
 #ifndef BENCH_TRACE_SOURCE_H_
 #define BENCH_TRACE_SOURCE_H_
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/trace/trace_cache.h"
+#include "src/trace/trace_io.h"
 #include "src/workload/dataset_profiles.h"
 #include "src/workload/zipf_workload.h"
 
 namespace s3fifo {
 
+// The generator config behind a zipf or dataset TraceSpec detail: the
+// inverse of ZipfConfigSpecString (a dataset detail appends ";name=...",
+// which is skipped). The trace-cache report regenerates traces from it and
+// checks each against its cache file's fingerprint.
+inline ZipfWorkloadConfig ZipfConfigFromSpecDetail(const std::string& detail) {
+  std::map<std::string, std::string> fields;
+  for (size_t at = 0; at < detail.size();) {
+    const size_t end = std::min(detail.find(';', at), detail.size());
+    const std::string item = detail.substr(at, end - at);
+    const size_t eq = item.find('=');
+    if (eq != std::string::npos) {
+      fields[item.substr(0, eq)] = item.substr(eq + 1);
+    }
+    at = end + 1;
+  }
+  const auto u64 = [&](const char* key) { return std::strtoull(fields[key].c_str(), nullptr, 10); };
+  const auto real = [&](const char* key) { return std::strtod(fields[key].c_str(), nullptr); };
+  ZipfWorkloadConfig c;
+  c.num_objects = u64("objects");
+  c.num_requests = u64("requests");
+  c.alpha = real("alpha");
+  c.new_object_fraction = real("new");
+  c.scan_fraction = real("scan");
+  c.scan_length = u64("scan_len");
+  c.loop_fraction = real("loop");
+  c.loop_length = u64("loop_len");
+  c.loop_repeats = static_cast<uint32_t>(u64("loop_rep"));
+  c.burst_fraction = real("burst");
+  c.burst_gap_max = static_cast<uint32_t>(u64("burst_gap"));
+  c.write_fraction = real("write");
+  c.delete_fraction = real("delete");
+  c.size_mean_bytes = static_cast<uint32_t>(u64("size_mean"));
+  c.size_sigma = real("size_sigma");
+  c.size_min_bytes = static_cast<uint32_t>(u64("size_min"));
+  c.size_max_bytes = static_cast<uint32_t>(u64("size_max"));
+  c.seed = u64("seed");
+  c.scramble_ids = u64("scramble") != 0;
+  return c;
+}
+
 class BenchTraceSource {
  public:
-  explicit BenchTraceSource(const BenchOptions& opts) {
+  explicit BenchTraceSource(const BenchOptions& opts)
+      : timing_reps_(opts.trace_cache_timing ? 5 : 0) {
     if (!opts.trace_cache_dir.empty()) {
       cache_.emplace(opts.trace_cache_dir);
       std::fprintf(stderr, "  [trace-cache] dir: %s\n", cache_->dir().c_str());
@@ -66,74 +112,99 @@ class BenchTraceSource {
   }
 
   // Emits BENCH_trace_cache.json (no-op when caching is disabled): one row
-  // per trace group comparing the cost of resolving each of its distinct
-  // traces cold (generate + persist — measured this run, or read back from
-  // the populating run's sidecar) against warm (mmap). `warm_speedup` is the
-  // acceptance number: how much faster this run got its traces than a
-  // cache-less run would have.
+  // per trace group this run resolved, with the run's hit/miss counts. With
+  // --trace-cache-timing each row also gives the cost of one of the group's
+  // traces cold (generate, write the v2 file, map it with verification: a
+  // cache miss) and warm (map the cache file with verification: a hit).
+  // Each time column is 5 reps, cold and warm interleaved and the groups
+  // taken round-robin, so host-speed drift lands on both columns alike.
+  // `cold_over_warm` is the ratio of the medians, given only where the two
+  // columns' quartile ranges are apart.
   void WriteReport() const {
     if (!cache_.has_value() || cache_->events().empty()) {
       return;
     }
-    // Collapse repeat acquisitions: per key, the cold cost and the (first,
-    // i.e. most expensive) warm map cost. In-process re-hits cost ~0 and
-    // would dilute the averages.
-    struct KeyAgg {
+    struct Group {
+      std::set<std::string> paths;
       uint64_t requests = 0, cold_runs = 0, warm_runs = 0;
-      double cold_ms = 0, warm_ms = 0;
+      std::optional<TraceCacheEvent> sample;  // the group's timed trace
+      std::vector<double> cold_ms, warm_ms;
     };
-    std::map<std::string, std::map<std::string, KeyAgg>> groups;
+    std::map<std::string, Group> groups;
     for (const TraceCacheEvent& e : cache_->events()) {
-      KeyAgg& k = groups[e.group][e.key];
-      k.requests = std::max(k.requests, e.requests);
-      k.cold_ms = std::max(k.cold_ms, e.cold_ms_recorded);
-      if (e.warm) {
-        ++k.warm_runs;
-        k.warm_ms = std::max(k.warm_ms, e.ms);
-      } else {
-        ++k.cold_runs;
-        k.cold_ms = std::max(k.cold_ms, e.ms);
+      Group& g = groups[e.spec.group];
+      if (!g.sample.has_value()) {
+        g.sample = e;
+      }
+      if (g.paths.insert(e.path).second) {
+        g.requests += e.requests;
+      }
+      ++(e.warm ? g.warm_runs : g.cold_runs);
+    }
+    for (int rep = 0; rep < timing_reps_; ++rep) {
+      for (auto& [name, g] : groups) {
+        const TraceCacheEvent& e = *g.sample;
+        WallTimer warm;
+        const uint64_t fingerprint = MapTraceFile(e.path, /*verify=*/true).file_fingerprint();
+        g.warm_ms.push_back(warm.ElapsedMs());
+        const std::string scratch = e.path + ".report";
+        WallTimer cold;
+        Trace trace = GenerateZipfTrace(ZipfConfigFromSpecDetail(e.spec.detail));
+        trace.Stats();
+        WriteBinaryTrace(trace, scratch);
+        const uint64_t regenerated = MapTraceFile(scratch, /*verify=*/true).file_fingerprint();
+        g.cold_ms.push_back(cold.ElapsedMs());
+        std::remove(scratch.c_str());
+        if (regenerated != fingerprint) {
+          std::fprintf(stderr, "[trace-cache] report: %s does not regenerate its cache file\n",
+                       name.c_str());
+          std::exit(1);
+        }
       }
     }
     double cold_total = 0, warm_total = 0;
     std::vector<JsonFields> rows;
-    for (const auto& [group, keys] : groups) {
-      KeyAgg g;
-      for (const auto& [key, k] : keys) {
-        g.requests += k.requests;
-        g.cold_runs += k.cold_runs;
-        g.warm_runs += k.warm_runs;
-        g.cold_ms += k.cold_ms;
-        g.warm_ms += k.warm_ms;
-      }
-      cold_total += g.cold_ms;
-      warm_total += g.warm_ms;
+    for (const auto& [name, g] : groups) {
+      const RepSpread cold = RepSpread::Of(g.cold_ms);
+      const RepSpread warm = RepSpread::Of(g.warm_ms);
+      cold_total += cold.median;
+      warm_total += warm.median;
       JsonFields row;
-      row.Add("group", group)
-          .Add("traces", static_cast<uint64_t>(keys.size()))
+      row.Add("group", name)
+          .Add("traces", static_cast<uint64_t>(g.paths.size()))
           .Add("requests", g.requests)
           .Add("cold_runs", g.cold_runs)
-          .Add("warm_runs", g.warm_runs)
-          .Add("cold_ms", g.cold_ms)
-          .Add("warm_ms", g.warm_ms);
-      if (g.warm_runs > 0 && g.warm_ms > 0 && g.cold_ms > 0) {
-        row.Add("warm_speedup", g.cold_ms / g.warm_ms);
+          .Add("warm_runs", g.warm_runs);
+      if (timing_reps_ > 0) {
+        row.Add("sample_requests", g.sample->requests)
+            .Add("cold_ms_median", cold.median)
+            .Add("cold_ms_min", cold.min)
+            .Add("cold_ms_q1", cold.q1)
+            .Add("cold_ms_q3", cold.q3)
+            .Add("warm_ms_median", warm.median)
+            .Add("warm_ms_min", warm.min)
+            .Add("warm_ms_q1", warm.q1)
+            .Add("warm_ms_q3", warm.q3);
+        if (cold.q1 > warm.q3 && warm.median > 0) {
+          row.Add("cold_over_warm", cold.median / warm.median);
+        }
       }
       rows.push_back(std::move(row));
     }
     JsonFields summary;
-    summary.Add("dir", cache_->dir())
+    summary.Add("env", BenchEnvironment())
         .Add("hits", cache_->hits())
         .Add("misses", cache_->misses())
-        .Add("cold_ms_total", cold_total)
-        .Add("warm_ms_total", warm_total);
-    if (cache_->misses() == 0 && warm_total > 0 && cold_total > 0) {
-      summary.Add("warm_speedup", cold_total / warm_total);
+        .Add("timing_reps", timing_reps_);
+    if (timing_reps_ > 0) {
+      summary.Add("sample_cold_ms_median_total", cold_total)
+          .Add("sample_warm_ms_median_total", warm_total);
     }
     WriteBenchJson("trace_cache", summary, rows);
   }
 
  private:
+  int timing_reps_;
   std::optional<TraceCache> cache_;
 };
 

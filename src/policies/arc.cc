@@ -7,8 +7,8 @@ namespace s3fifo {
 ArcCache::ArcCache(const CacheConfig& config) : Cache(config) {}
 
 bool ArcCache::Contains(uint64_t id) const {
-  auto it = table_.find(id);
-  return it != table_.end() && IsResident(it->second);
+  const Entry* e = table_.Find(id);
+  return e != nullptr && IsResident(*e);
 }
 
 ArcCache::Queue& ArcCache::QueueOf(Where where) {
@@ -51,15 +51,14 @@ void ArcCache::NotifyDemotion(const Entry& entry, bool promoted) {
 }
 
 void ArcCache::Remove(uint64_t id) {
-  auto it = table_.find(id);
-  if (it == table_.end()) {
+  Entry* e = table_.Find(id);
+  if (e == nullptr) {
     return;
   }
-  Entry& e = it->second;
-  if (IsResident(e)) {
-    EvictResident(&e, /*ghost=*/nullptr, /*explicit_delete=*/true);
+  if (IsResident(*e)) {
+    EvictResident(e, /*ghost=*/nullptr, /*explicit_delete=*/true);
   } else {
-    DropGhost(&e);
+    DropGhost(e);
   }
 }
 
@@ -84,7 +83,7 @@ void ArcCache::EvictResident(Entry* entry, Queue* ghost, bool explicit_delete) {
     ghost->PushFront(entry);
     OccupiedOf(ghost_where) += entry->size;
   } else {
-    table_.erase(entry->id);
+    table_.Erase(entry->id);
   }
   NotifyEviction(ev);
 }
@@ -92,7 +91,7 @@ void ArcCache::EvictResident(Entry* entry, Queue* ghost, bool explicit_delete) {
 void ArcCache::DropGhost(Entry* entry) {
   QueueOf(entry->where).Remove(entry);
   OccupiedOf(entry->where) -= entry->size;
-  table_.erase(entry->id);
+  table_.Erase(entry->id);
 }
 
 void ArcCache::Replace(bool requested_in_b2) {
@@ -112,10 +111,10 @@ void ArcCache::Replace(bool requested_in_b2) {
 bool ArcCache::Access(const Request& req) {
   const uint64_t need = SizeOf(req);
   const double c = static_cast<double>(capacity());
-  auto it = table_.find(req.id);
+  Entry* found = table_.Find(req.id);
 
-  if (it != table_.end() && IsResident(it->second)) {
-    Entry& e = it->second;
+  if (found != nullptr && IsResident(*found)) {
+    Entry& e = *found;
     ++e.hits;
     e.last_access_time = clock();
     if (e.where == Where::kT1) {
@@ -146,21 +145,21 @@ bool ArcCache::Access(const Request& req) {
   }
 
   bool into_t2 = false;
-  if (it != table_.end() && it->second.where == Where::kB1) {
+  if (found != nullptr && found->where == Where::kB1) {
     // Ghost hit in B1: the recency side was too small — grow p.
     const double delta =
         std::max(1.0, static_cast<double>(b2_occ_) / std::max<double>(b1_occ_, 1.0));
     p_ = std::min(p_ + delta, c);
-    DropGhost(&it->second);
+    DropGhost(found);
     while (occupied() + need > capacity()) {
       Replace(/*requested_in_b2=*/false);
     }
     into_t2 = true;
-  } else if (it != table_.end() && it->second.where == Where::kB2) {
+  } else if (found != nullptr && found->where == Where::kB2) {
     const double delta =
         std::max(1.0, static_cast<double>(b1_occ_) / std::max<double>(b2_occ_, 1.0));
     p_ = std::max(p_ - delta, 0.0);
-    DropGhost(&it->second);
+    DropGhost(found);
     while (occupied() + need > capacity()) {
       Replace(/*requested_in_b2=*/true);
     }
@@ -195,7 +194,9 @@ bool ArcCache::Access(const Request& req) {
     }
   }
 
-  Entry& e = table_[req.id];
+  // Every path here left req.id out of the table (a ghost hit dropped its
+  // entry), so this inserts a fresh Entry.
+  Entry& e = *table_.Emplace(req.id);
   e.id = req.id;
   e.size = need;
   e.hits = 0;

@@ -5,10 +5,9 @@
 #ifndef SRC_POLICIES_ARC_H_
 #define SRC_POLICIES_ARC_H_
 
-#include <unordered_map>
-
 #include "src/core/cache.h"
 #include "src/core/demotion.h"
+#include "src/util/flat_map.h"
 #include "src/util/intrusive_list.h"
 
 namespace s3fifo {
@@ -60,7 +59,7 @@ class ArcCache : public Cache {
   Queue& QueueOf(Where where);
   uint64_t& OccupiedOf(Where where);
 
-  std::unordered_map<uint64_t, Entry> table_;
+  FlatMap<Entry> table_;
   Queue t1_, t2_, b1_, b2_;
   uint64_t t1_occ_ = 0, t2_occ_ = 0, b1_occ_ = 0, b2_occ_ = 0;  // in units
   double p_ = 0.0;

@@ -84,7 +84,7 @@ uint32_t TinyLfuCache::EstimateFrequency(uint64_t id) const {
   return sketch_.Estimate(id) + (doorkeeper_.Contains(id) ? 1 : 0);
 }
 
-bool TinyLfuCache::Contains(uint64_t id) const { return table_.count(id) != 0; }
+bool TinyLfuCache::Contains(uint64_t id) const { return table_.Contains(id); }
 
 void TinyLfuCache::NotifyDemotion(const Entry& entry, bool promoted) {
   if (demotion_listener_) {
@@ -112,14 +112,13 @@ void TinyLfuCache::EvictEntry(Entry* entry, bool explicit_delete) {
   QueueOf(entry->where).Remove(entry);
   OccupiedOf(entry->where) -= entry->size;
   SubOccupied(entry->size);
-  table_.erase(entry->id);
+  table_.Erase(entry->id);
   NotifyEviction(ev);
 }
 
 void TinyLfuCache::Remove(uint64_t id) {
-  auto it = table_.find(id);
-  if (it != table_.end()) {
-    EvictEntry(&it->second, /*explicit_delete=*/true);
+  if (Entry* e = table_.Find(id)) {
+    EvictEntry(e, /*explicit_delete=*/true);
   }
 }
 
@@ -200,9 +199,8 @@ bool TinyLfuCache::Access(const Request& req) {
   const uint64_t need = SizeOf(req);
   RecordFrequency(req.id);
 
-  auto it = table_.find(req.id);
-  if (it != table_.end()) {
-    Entry& e = it->second;
+  if (Entry* found = table_.Find(req.id)) {
+    Entry& e = *found;
     ++e.hits;
     e.last_access_time = clock();
     if (!count_based() && e.size != need) {
@@ -249,7 +247,7 @@ bool TinyLfuCache::Access(const Request& req) {
   if (need > capacity()) {
     return false;
   }
-  Entry& e = table_[req.id];
+  Entry& e = *table_.Emplace(req.id);
   e.id = req.id;
   e.size = need;
   e.where = Where::kWindow;

@@ -10,12 +10,11 @@
 #ifndef SRC_POLICIES_TINYLFU_H_
 #define SRC_POLICIES_TINYLFU_H_
 
-#include <unordered_map>
-
 #include "src/core/cache.h"
 #include "src/core/demotion.h"
 #include "src/util/bloom_filter.h"
 #include "src/util/count_min_sketch.h"
+#include "src/util/flat_map.h"
 #include "src/util/intrusive_list.h"
 
 namespace s3fifo {
@@ -70,7 +69,7 @@ class TinyLfuCache : public Cache {
   CountMinSketch sketch_;
   BloomFilter doorkeeper_;
 
-  std::unordered_map<uint64_t, Entry> table_;
+  FlatMap<Entry> table_;
   Queue window_, probation_, protected_;
   uint64_t window_occ_ = 0, probation_occ_ = 0, protected_occ_ = 0;
   DemotionListener demotion_listener_;

@@ -1,18 +1,18 @@
 #include "src/trace/next_access.h"
 
-#include <unordered_map>
+#include "src/util/flat_map.h"
 
 namespace s3fifo {
 
 void AnnotateNextAccess(Trace& trace) {
   auto& reqs = trace.mutable_requests();
-  std::unordered_map<uint64_t, uint64_t> next_seen;
-  next_seen.reserve(reqs.size() / 4 + 16);
+  FlatMap<uint64_t> next_seen;  // id -> index of its next request
   for (size_t i = reqs.size(); i-- > 0;) {
     Request& r = reqs[i];
-    auto it = next_seen.find(r.id);
-    r.next_access = it == next_seen.end() ? kNeverAccessed : it->second;
-    next_seen[r.id] = i;
+    bool inserted = false;
+    uint64_t* next = next_seen.Emplace(r.id, &inserted);
+    r.next_access = inserted ? kNeverAccessed : *next;
+    *next = i;
   }
   trace.set_annotated(true);
 }

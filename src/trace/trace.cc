@@ -1,9 +1,7 @@
 #include "src/trace/trace.h"
 
-#include <unordered_map>
-
 #include "src/trace/trace_view.h"
-#include "src/util/hash.h"
+#include "src/util/flat_map.h"
 
 namespace s3fifo {
 
@@ -25,11 +23,13 @@ const TraceStats& Trace::Stats() const {
   if (stats_valid_) {
     return stats_;
   }
+  struct Seen {
+    uint64_t requests = 0;
+    uint32_t last_size = 0;
+  };
   TraceStats s;
   s.num_requests = requests_.size();
-  std::unordered_map<uint64_t, uint64_t> request_count;
-  std::unordered_map<uint64_t, uint32_t> last_size;
-  request_count.reserve(requests_.size() / 4 + 16);
+  FlatMap<Seen> seen;
   for (const Request& r : requests_) {
     switch (r.op) {
       case OpType::kGet:
@@ -46,19 +46,16 @@ const TraceStats& Trace::Stats() const {
       continue;  // deletes do not count toward popularity
     }
     s.total_bytes_requested += r.size;
-    ++request_count[r.id];
-    last_size[r.id] = r.size;
+    Seen* e = seen.Emplace(r.id);
+    ++e->requests;
+    e->last_size = r.size;
   }
-  s.num_objects = request_count.size();
+  s.num_objects = seen.size();
   uint64_t one_hit = 0;
-  for (const auto& [id, count] : request_count) {
-    if (count == 1) {
-      ++one_hit;
-    }
-  }
-  for (const auto& [id, size] : last_size) {
-    s.footprint_bytes += size;
-  }
+  seen.ForEach([&](uint64_t, const Seen& e) {
+    one_hit += e.requests == 1 ? 1 : 0;
+    s.footprint_bytes += e.last_size;
+  });
   s.one_hit_wonder_ratio =
       s.num_objects == 0 ? 0.0
                          : static_cast<double>(one_hit) / static_cast<double>(s.num_objects);

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cctype>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -82,29 +81,6 @@ std::shared_ptr<Mapping> MapFile(const std::string& path) {
   mapping->len = mapping->heap.size();
 #endif
   return mapping;
-}
-
-double ElapsedMs(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-// The sidecar holding the cold (generate+persist) cost of a cache file, so
-// warm runs can report their speedup without regenerating anything.
-std::string SidecarPath(const std::string& trace_path) { return trace_path + ".ms"; }
-
-void WriteColdCostSidecar(const std::string& trace_path, double ms) {
-  std::ofstream out(SidecarPath(trace_path), std::ios::trunc);
-  out << ms << "\n";  // best-effort: a missing sidecar only degrades reports
-}
-
-double ReadColdCostSidecar(const std::string& trace_path) {
-  std::ifstream in(SidecarPath(trace_path));
-  double ms = 0;
-  if (in && (in >> ms) && ms >= 0) {
-    return ms;
-  }
-  return 0;
 }
 
 std::string UniqueTempSuffix() {
@@ -236,7 +212,7 @@ TraceView TraceCache::GetOrGenerate(const TraceSpec& spec,
     auto it = mapped_.find(key);
     if (it != mapped_.end()) {
       ++hits_;
-      events_.push_back({spec.group, key, /*warm=*/true, 0.0, it->second.size()});
+      events_.push_back({spec, path, /*warm=*/true, it->second.size()});
       return it->second;
     }
     auto& slot = inflight_[key];
@@ -254,28 +230,25 @@ TraceView TraceCache::GetOrGenerate(const TraceSpec& spec,
     auto it = mapped_.find(key);
     if (it != mapped_.end()) {
       ++hits_;
-      events_.push_back({spec.group, key, /*warm=*/true, 0.0, it->second.size()});
+      events_.push_back({spec, path, /*warm=*/true, it->second.size()});
       return it->second;
     }
   }
 
-  const auto start = std::chrono::steady_clock::now();
   std::error_code ec;
   if (std::filesystem::exists(path, ec)) {
     try {
       TraceView view = MapTraceFile(path, options_.verify_fingerprint);
-      const double cold_ms = ReadColdCostSidecar(path);
       std::lock_guard<std::mutex> lock(mu_);
       mapped_[key] = view;
       ++hits_;
-      events_.push_back({spec.group, key, /*warm=*/true, ElapsedMs(start), view.size(), cold_ms});
+      events_.push_back({spec, path, /*warm=*/true, view.size()});
       return view;
     } catch (const std::exception& e) {
       // A corrupt/truncated/stale file is rejected and rebuilt from scratch.
       std::fprintf(stderr, "[trace-cache] discarding invalid cache file %s: %s\n", path.c_str(),
                    e.what());
       std::filesystem::remove(path, ec);
-      std::filesystem::remove(SidecarPath(path), ec);
     }
   }
 
@@ -288,13 +261,11 @@ TraceView TraceCache::GetOrGenerate(const TraceSpec& spec,
   // last leaves the same valid file.
   std::filesystem::rename(tmp, path);
   TraceView view = MapTraceFile(path, options_.verify_fingerprint);
-  const double cold_ms = ElapsedMs(start);
-  WriteColdCostSidecar(path, cold_ms);
 
   std::lock_guard<std::mutex> lock(mu_);
   mapped_[key] = view;
   ++misses_;
-  events_.push_back({spec.group, key, /*warm=*/false, cold_ms, view.size(), cold_ms});
+  events_.push_back({spec, path, /*warm=*/false, view.size()});
   return view;
 }
 

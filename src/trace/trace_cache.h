@@ -66,15 +66,10 @@ struct TraceCacheOptions {
 
 // One GetOrGenerate resolution, for the bench reports (BENCH_trace_cache).
 struct TraceCacheEvent {
-  std::string group;
-  std::string key;
-  bool warm = false;   // served from disk (or the in-process mapping table)
-  double ms = 0;       // wall time to resolve: generate+persist+map, or map
+  TraceSpec spec;
+  std::string path;  // the cache file that serves the spec
+  bool warm = false;  // served from disk (or the in-process mapping table)
   uint64_t requests = 0;
-  // Generate+persist cost recorded by whichever run populated this key (a
-  // sidecar next to the cache file), so a warm-only run can still report its
-  // cold-vs-warm speedup. 0 = unknown.
-  double cold_ms_recorded = 0;
 };
 
 class TraceCache {

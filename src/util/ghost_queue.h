@@ -9,8 +9,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <utility>
+
+#include "src/util/flat_map.h"
 
 namespace s3fifo {
 
@@ -40,7 +41,7 @@ class GhostQueue {
   // A fifo_ slot is live iff seq_of_[id] == seq; stale slots are skipped
   // lazily when they reach the front.
   std::deque<std::pair<uint64_t, uint64_t>> fifo_;  // (seq, id), oldest first
-  std::unordered_map<uint64_t, uint64_t> seq_of_;   // id -> live seq
+  FlatMap<uint64_t> seq_of_;                        // id -> live seq
 };
 
 }  // namespace s3fifo

@@ -53,12 +53,55 @@ class SizeSampler {
   double mu_ = 0.0;
 };
 
+// Sizes of the Zipf ranks, each computed on its rank's first draw: the hot
+// ranks recur thousands of times, and SizeOf's Box-Muller costs more than
+// the rest of a request. The table holds min(num_objects, num_requests)
+// ranks, so at most 4 bytes per request of the trace; larger ranks, and ids
+// outside the Zipf universe (kUnranked), are sized directly. A 0 entry means
+// "not computed yet" (a genuine 0-byte size is simply recomputed). The
+// table is empty when sizes are fixed, since SizeOf is then free.
+class RankSizes {
+ public:
+  static constexpr uint64_t kUnranked = ~uint64_t{0};
+
+  RankSizes(const ZipfWorkloadConfig& config, const SizeSampler& sampler)
+      : sampler_(sampler),
+        table_(config.size_sigma > 0.0 ? std::min(config.num_objects, config.num_requests) : 0) {}
+
+  // Size of `id`, the object at 0-based Zipf rank `rank` (or kUnranked).
+  uint32_t Of(uint64_t rank, uint64_t id) {
+    if (rank >= table_.size()) {
+      return sampler_.SizeOf(id);
+    }
+    uint32_t& size = table_[rank];
+    if (size == 0) {
+      size = sampler_.SizeOf(id);
+    }
+    return size;
+  }
+
+ private:
+  const SizeSampler& sampler_;
+  std::vector<uint32_t> table_;
+};
+
+// A burst re-emission of `id` (with its size), due at request index `due`.
+// Pops in (due, id) order; a size is a function of its id, so two entries
+// that tie on (due, id) are identical.
+struct PendingBurst {
+  uint64_t due;
+  uint64_t id;
+  uint32_t size;
+  bool operator>(const PendingBurst& o) const { return due != o.due ? due > o.due : id > o.id; }
+};
+
 }  // namespace
 
 Trace GenerateZipfTrace(const ZipfWorkloadConfig& config) {
   Rng rng(config.seed);
   ZipfDistribution zipf(config.num_objects, config.alpha);
   SizeSampler sizes(config);
+  RankSizes rank_sizes(config, sizes);
 
   std::vector<Request> reqs;
   reqs.reserve(config.num_requests);
@@ -67,9 +110,8 @@ Trace GenerateZipfTrace(const ZipfWorkloadConfig& config) {
   uint64_t next_scan_id = kScanBase + (config.seed << 20);
   uint64_t next_loop_region = kLoopBase + (config.seed << 20);
 
-  // Pending burst re-emissions: (due request index, id), soonest first.
-  using Pending = std::pair<uint64_t, uint64_t>;
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>> bursts;
+  // Pending burst re-emissions, soonest first.
+  std::priority_queue<PendingBurst, std::vector<PendingBurst>, std::greater<PendingBurst>> bursts;
 
   // Residual state for in-progress scan / loop bursts.
   uint64_t scan_remaining = 0;
@@ -93,13 +135,15 @@ Trace GenerateZipfTrace(const ZipfWorkloadConfig& config) {
     Request r;
     r.time = reqs.size();
 
-    if (!bursts.empty() && bursts.top().first <= reqs.size()) {
-      r.id = bursts.top().second;
+    if (!bursts.empty() && bursts.top().due <= reqs.size()) {
+      r.id = bursts.top().id;
+      r.size = bursts.top().size;
       bursts.pop();
-      r.size = sizes.SizeOf(r.id);
       reqs.push_back(r);
       continue;
     }
+    uint64_t rank = RankSizes::kUnranked;
+    uint64_t burst_gap = 0;
     if (scan_remaining > 0) {
       r.id = scrambled(scan_cursor++);
       --scan_remaining;
@@ -128,7 +172,8 @@ Trace GenerateZipfTrace(const ZipfWorkloadConfig& config) {
         r.id = scrambled(next_new_object++);
       } else {
         // Zipf rank 1..n mapped into [0, n).
-        r.id = scrambled(zipf.Sample(rng) - 1);
+        rank = zipf.Sample(rng) - 1;
+        r.id = scrambled(rank);
         const double op_dice = rng.NextDouble();
         if (op_dice < config.delete_fraction) {
           r.op = OpType::kDelete;
@@ -137,12 +182,14 @@ Trace GenerateZipfTrace(const ZipfWorkloadConfig& config) {
         }
         if (r.op != OpType::kDelete && config.burst_fraction > 0.0 &&
             rng.NextBool(config.burst_fraction)) {
-          const uint64_t gap = 1 + rng.NextBounded(std::max<uint32_t>(config.burst_gap_max, 1));
-          bursts.emplace(reqs.size() + gap, r.id);
+          burst_gap = 1 + rng.NextBounded(std::max<uint32_t>(config.burst_gap_max, 1));
         }
       }
     }
-    r.size = sizes.SizeOf(r.id);
+    r.size = rank_sizes.Of(rank, r.id);
+    if (burst_gap > 0) {
+      bursts.push({reqs.size() + burst_gap, r.id, r.size});
+    }
     reqs.push_back(r);
   }
 

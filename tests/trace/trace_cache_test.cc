@@ -120,7 +120,7 @@ TEST_F(TraceCacheTest, WarmProcessMapsWithoutGenerating) {
   ExpectViewMatchesTrace(view, MakeTrace());
   ASSERT_EQ(warm.events().size(), 1u);
   EXPECT_TRUE(warm.events()[0].warm);
-  EXPECT_GT(warm.events()[0].cold_ms_recorded, 0.0);  // sidecar survived
+  EXPECT_EQ(warm.events()[0].spec.CacheKey(), Spec("warm").CacheKey());
 }
 
 TEST_F(TraceCacheTest, RepeatAcquisitionSharesTheMapping) {

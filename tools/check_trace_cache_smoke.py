@@ -48,11 +48,9 @@ def main(argv):
             f"vs {len(warm_bench['rows'])} warm"
         )
 
-    speedup = warm_summary.get("warm_speedup", 0)
     print(
         f"trace-cache smoke OK: {warm_summary['hits']} warm hits, 0 misses, "
-        f"{len(warm_bench['rows'])} identical figure rows, "
-        f"trace-resolution speedup {speedup:.1f}x"
+        f"{len(warm_bench['rows'])} identical figure rows"
     )
 
 
